@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet fmt-check fmt lint race bench bench-compare check serve loadtest fleet pre
+.PHONY: all build test vet fmt-check fmt lint race bench bench-smoke bench-compare check serve loadtest fleet pre
 
 all: check
 
@@ -34,6 +34,13 @@ race:
 
 bench:
 	$(GO) test -bench=. -benchmem ./...
+
+# bench-smoke vets and smoke-tests the end-to-end benchmark (bench/, see
+# bench/README.md). It is a module of its own, so ./... never reaches it,
+# and a broken call into parser, ir, ssa, core, opt, driver or server
+# would otherwise only surface when the benchmark runs (~6 s).
+bench-smoke:
+	cd bench && $(GO) vet . && $(GO) test .
 
 # bench-compare benchmarks the working tree against another git ref
 # (BASE, default HEAD~1): it checks BASE out into a temporary worktree,
@@ -108,4 +115,4 @@ pre:
 	$(GO) test -run TestDriverPREOverheadGuard -v .
 	$(GO) test -run '^$$' -bench BenchmarkDriverPRE -benchtime 5x -benchmem .
 
-check: build lint fmt-check test race
+check: build lint fmt-check test race bench-smoke

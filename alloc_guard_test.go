@@ -84,3 +84,50 @@ func TestPREAllocGuard(t *testing.T) {
 			delta, withPre, base, maxDelta)
 	}
 }
+
+// TestFrontEndAllocGuard gates the pointer-IR front end's allocation
+// counts on Figure 1. Verify, Clone and ssa.Build used to key their side
+// tables by pointer in Go maps — Verify's membership set and use counts,
+// Clone's old→new block and instruction maps, ssa.Build's def-site,
+// φ-variable and per-variable placement sets, per-block renaming
+// counters and per-block liveness bitsets — and Clone allocated every
+// block, instruction, edge and backing array separately. They now index
+// dense tables by Instr.ID and Block.ID and carve clones from a few
+// counted slabs. Measured on Figure 1: Verify 16 → 2, Clone 352 → 9,
+// Clone+ssa.Build 700 → 188. The ceilings leave headroom over the new
+// counts but fail loudly if a map-keyed table or per-object allocation
+// returns.
+func TestFrontEndAllocGuard(t *testing.T) {
+	src, err := parser.ParseRoutine(figure1Source)
+	if err != nil {
+		t.Fatal(err)
+	}
+	verifyAllocs := testing.AllocsPerRun(20, func() {
+		if err := src.Verify(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	cloneAllocs := testing.AllocsPerRun(20, func() { _ = src.Clone() })
+	buildAllocs := testing.AllocsPerRun(20, func() {
+		if err := ssa.Build(src.Clone(), ssa.SemiPruned); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("figure1: Verify %.0f, Clone %.0f, Clone+ssa.Build %.0f allocs/run",
+		verifyAllocs, cloneAllocs, buildAllocs)
+	for _, g := range []struct {
+		what   string
+		allocs float64
+		max    float64
+	}{
+		{"Verify", verifyAllocs, 4},
+		{"Clone", cloneAllocs, 16},
+		{"Clone+ssa.Build", buildAllocs, 240},
+	} {
+		if g.allocs > g.max {
+			t.Errorf("%s(figure1) allocates %.0f objects/run, want ≤ %.0f — "+
+				"a map-keyed side table or per-object allocation is back in the front end",
+				g.what, g.allocs, g.max)
+		}
+	}
+}

@@ -98,6 +98,9 @@ func ReversePostOrder(r *ir.Routine) *Order {
 		o.Blocks[k] = post[i]
 		o.Number[post[i].ID] = k
 	}
+	// Drop the block pointers so the pool does not pin the routine.
+	clear(post[:np])
+	clear(sc.stack[:n])
 	rpoScratchPool.Put(sc)
 	return o
 }
@@ -107,6 +110,7 @@ func ReversePostOrder(r *ir.Routine) *Order {
 // its slices are unusable afterwards. Releasing is optional — unreleased
 // Orders are collected normally.
 func (o *Order) Release() {
+	clear(o.Blocks) // do not pin the routine from the pool
 	orderPool.Put(o)
 }
 

@@ -56,6 +56,8 @@ var (
 // collected normally.
 func (p *Partition) Release() {
 	p.routine = nil
+	clear(p.arena) // do not pin the routine's instructions from the pool
+	clear(p.classes)
 	partitionPool.Put(p)
 }
 
@@ -163,7 +165,8 @@ func (r *Result) Partition() *Partition {
 		c := p.classOf[id]
 		p.classes[c].members = append(p.classes[c].members, i)
 	}
-	clear(uniq) // drop the class pointers so the pool does not pin them
+	clear(byID) // drop the instruction and class pointers so the pool
+	clear(uniq) // does not pin them
 	sc.uniq = uniq[:0]
 	sc.counts = counts[:0]
 	partScratchPool.Put(sc)

@@ -13,7 +13,9 @@ import (
 // (idom, contained, Euler numbers, CSR child lists), and constrPool
 // recycles the per-construction worklists and numberings that never
 // escape. Both are optional — callers that never Release simply fall
-// back to garbage collection.
+// back to garbage collection. Both drop their *ir.Block pointers when
+// released: a pooled buffer must not pin a finished routine (and, since
+// clones are carved from a few slabs, every object of it) in memory.
 
 // bframe is a DFS frame over *ir.Block successors (forward graph).
 type bframe struct {
@@ -37,6 +39,10 @@ type constrScratch struct {
 	blocks  []*ir.Block
 	bframes []bframe
 	iframes []iframe
+
+	// usedBlocks and usedBframes are the high-water lengths handed out
+	// since the last release: release clears only those prefixes.
+	usedBlocks, usedBframes int
 }
 
 var constrPool sync.Pool
@@ -49,7 +55,12 @@ func getConstr() *constrScratch {
 	return s
 }
 
-func (s *constrScratch) release() { constrPool.Put(s) }
+func (s *constrScratch) release() {
+	clear(s.blocks[:s.usedBlocks])
+	clear(s.bframes[:s.usedBframes])
+	s.usedBlocks, s.usedBframes = 0, 0
+	constrPool.Put(s)
+}
 
 // intsN returns an uninitialized int buffer of length n (callers fill
 // their own sentinel values).
@@ -75,6 +86,7 @@ func (s *constrScratch) blocksN(n int) []*ir.Block {
 	if cap(s.blocks) < n {
 		s.blocks = make([]*ir.Block, n)
 	}
+	s.usedBlocks = max(s.usedBlocks, n)
 	return s.blocks[:n]
 }
 
@@ -83,6 +95,7 @@ func (s *constrScratch) bframesN(n int) []bframe {
 	if cap(s.bframes) < n {
 		s.bframes = make([]bframe, n)
 	}
+	s.usedBframes = max(s.usedBframes, n)
 	return s.bframes[:0:n]
 }
 
@@ -136,5 +149,9 @@ func getTree(r *ir.Routine, post bool, n int) *Tree {
 // Releasing is optional — unreleased trees are collected normally.
 func (t *Tree) Release() {
 	t.routine = nil
+	clear(t.idom)
+	clear(t.children)
+	clear(t.flat)
+	clear(t.rootBlocks)
 	treePool.Put(t)
 }

@@ -258,6 +258,53 @@ func TestVerifyCatchesBrokenRoutines(t *testing.T) {
 	if err := r4.Verify(); err == nil {
 		t.Errorf("branch successor count not caught")
 	}
+
+	// The id protocol dense side tables rely on: ids are routine-unique
+	// and below NumInstrIDs / NumBlockIDs.
+	wantErr := func(r *Routine, what, substr string) {
+		t.Helper()
+		err := r.Verify()
+		if err == nil {
+			t.Errorf("%s not caught", what)
+		} else if !strings.Contains(err.Error(), substr) {
+			t.Errorf("%s: error %q does not mention %q", what, err, substr)
+		}
+	}
+	idRoutine := func() (*Routine, *Instr, *Instr) {
+		r := NewRoutine("ids")
+		e := r.Entry()
+		a := r.ConstInt(e, 1)
+		b := r.ConstInt(e, 2)
+		r.Append(e, OpReturn, r.Append(e, OpAdd, a, b))
+		if err := r.Verify(); err != nil {
+			t.Fatalf("base routine should verify: %v", err)
+		}
+		return r, a, b
+	}
+	r5, a5, b5 := idRoutine()
+	b5.ID = a5.ID
+	wantErr(r5, "duplicate instruction id", "share id")
+
+	r6, _, b6 := idRoutine()
+	b6.ID = r6.NumInstrIDs()
+	wantErr(r6, "out-of-range instruction id", "outside [0,")
+
+	// A foreign instruction whose id collides with a member's is still
+	// foreign: membership is identity at the id, not the id alone.
+	r7, a7, _ := idRoutine()
+	other := NewRoutine("other")
+	f := other.ConstInt(other.Entry(), 3)
+	if f.ID != a7.ID {
+		t.Fatalf("test setup: foreign id %d, member id %d", f.ID, a7.ID)
+	}
+	ret := r7.Entry().Terminator()
+	ret.SetArg(0, f)
+	r7.RemoveInstr(r7.Entry().Instrs[2]) // the now-unused add
+	wantErr(r7, "foreign instruction sharing a member's id", "foreign value")
+
+	r8, _, _ := idRoutine()
+	r8.NewBlock("x").ID = r8.Entry().ID
+	wantErr(r8, "duplicate block id", "share id")
 }
 
 func TestAddParamOrdering(t *testing.T) {

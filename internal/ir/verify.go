@@ -21,7 +21,14 @@ import "fmt"
 //     instructions belonging to this routine;
 //   - use lists exactly mirror argument lists;
 //   - parameters are non-nil and appear only at the front of the entry
-//     block.
+//     block;
+//   - instruction and block ids are routine-unique and lie in
+//     [0, NumInstrIDs()) and [0, NumBlockIDs()), the protocol every
+//     id-indexed side table relies on.
+//
+// Membership is an identity test on a table indexed by Instr.ID: a is a
+// member iff the table's owner at a.ID is a itself, so a foreign
+// instruction is rejected even when its id collides with a member's.
 func (r *Routine) Verify() error {
 	if len(r.Blocks) == 0 {
 		return fmt.Errorf("%s: no blocks", r.Name)
@@ -29,27 +36,45 @@ func (r *Routine) Verify() error {
 	if len(r.Entry().Preds) != 0 {
 		return fmt.Errorf("%s: entry block has predecessors", r.Name)
 	}
-	inRoutine := make(map[*Instr]bool)
+	blockOwner := make([]*Block, r.NumBlockIDs())
+	for _, b := range r.Blocks {
+		if b.ID < 0 || b.ID >= len(blockOwner) {
+			return fmt.Errorf("%s: block %s has id %d outside [0, %d)",
+				r.Name, b.Name, b.ID, len(blockOwner))
+		}
+		if o := blockOwner[b.ID]; o != nil {
+			return fmt.Errorf("%s: blocks %s and %s share id %d", r.Name, o.Name, b.Name, b.ID)
+		}
+		blockOwner[b.ID] = b
+	}
+	ids := make([]idSlot, r.NumInstrIDs())
 	for _, b := range r.Blocks {
 		for _, i := range b.Instrs {
-			inRoutine[i] = true
+			if i.ID < 0 || i.ID >= len(ids) {
+				return fmt.Errorf("%s: %s has id %d outside [0, %d)",
+					r.Name, i.ValueName(), i.ID, len(ids))
+			}
+			if o := ids[i.ID].owner; o != nil {
+				return fmt.Errorf("%s: %s and %s share id %d",
+					r.Name, o.ValueName(), i.ValueName(), i.ID)
+			}
+			ids[i.ID].owner = i
 		}
 	}
-	useCount := make(map[*Instr]int)
 	for _, b := range r.Blocks {
-		if err := r.verifyBlock(b, inRoutine, useCount); err != nil {
+		if err := r.verifyBlock(b, ids); err != nil {
 			return err
 		}
 	}
 	// Use lists must exactly mirror argument references.
 	for _, b := range r.Blocks {
 		for _, i := range b.Instrs {
-			if len(i.uses) != useCount[i] {
+			if len(i.uses) != int(ids[i.ID].uses) {
 				return fmt.Errorf("%s: %s has %d recorded uses, %d actual",
-					r.Name, i.ValueName(), len(i.uses), useCount[i])
+					r.Name, i.ValueName(), len(i.uses), ids[i.ID].uses)
 			}
 			for _, u := range i.uses {
-				if !inRoutine[u] {
+				if !isMember(ids, u) {
 					return fmt.Errorf("%s: %s used by foreign instruction", r.Name, i.ValueName())
 				}
 			}
@@ -69,7 +94,19 @@ func (r *Routine) Verify() error {
 	return nil
 }
 
-func (r *Routine) verifyBlock(b *Block, inRoutine map[*Instr]bool, useCount map[*Instr]int) error {
+// idSlot is Verify's per-instruction-id record: the member holding the
+// id and the number of argument slots referencing it.
+type idSlot struct {
+	owner *Instr
+	uses  int32
+}
+
+// isMember is the identity test on a table indexed by Instr.ID.
+func isMember(ids []idSlot, i *Instr) bool {
+	return i != nil && i.ID >= 0 && i.ID < len(ids) && ids[i.ID].owner == i
+}
+
+func (r *Routine) verifyBlock(b *Block, ids []idSlot) error {
 	if b.Routine != r {
 		return fmt.Errorf("%s: block %s belongs to another routine", r.Name, b.Name)
 	}
@@ -123,13 +160,13 @@ func (r *Routine) verifyBlock(b *Block, inRoutine map[*Instr]bool, useCount map[
 			if a == nil {
 				return fmt.Errorf("%s: %s has nil argument", r.Name, i)
 			}
-			if !inRoutine[a] {
+			if !isMember(ids, a) {
 				return fmt.Errorf("%s: %s uses foreign value", r.Name, i)
 			}
 			if !a.HasValue() {
 				return fmt.Errorf("%s: %s uses non-value %s", r.Name, i, a)
 			}
-			useCount[a]++
+			ids[a.ID].uses++
 		}
 		if i.Op == OpParam && b != r.Entry() {
 			return fmt.Errorf("%s: param outside entry block", r.Name)

@@ -4,45 +4,48 @@ import "pgvn/internal/ir"
 
 // liveness holds per-variable, per-block liveness for the pruned and
 // semi-pruned φ-placement strategies. Variables are identified by the
-// dense indices assigned in Build.
+// dense indices assigned in Build; the bitsets are indexed by block ID
+// and carved from one []uint64.
 type liveness struct {
 	r       *ir.Routine
 	nvars   int
-	words   int
-	use     map[int][]uint64 // upward-exposed reads, by block ID
-	def     map[int][]uint64 // writes, by block ID
-	in, out map[int][]uint64 // live-in / live-out, by block ID
+	use     [][]uint64 // upward-exposed reads
+	def     [][]uint64 // writes
+	in, out [][]uint64 // live-in / live-out
 }
 
-func newLiveness(r *ir.Routine, vars map[string]int) *liveness {
-	lv := &liveness{
-		r:     r,
-		nvars: len(vars),
-		words: (len(vars) + 63) / 64,
-		use:   map[int][]uint64{},
-		def:   map[int][]uint64{},
-		in:    map[int][]uint64{},
-		out:   map[int][]uint64{},
+// newLiveness computes liveness over r's variable instructions, whose
+// variables varOf gives by instruction id.
+func newLiveness(r *ir.Routine, varOf []int32, nvars int) *liveness {
+	nb := r.NumBlockIDs()
+	words := (nvars + 63) / 64
+	lv := &liveness{r: r, nvars: nvars}
+	sets := make([][]uint64, 4*nb)
+	lv.use, lv.def, lv.in, lv.out = sets[:nb:nb], sets[nb:2*nb:2*nb], sets[2*nb:3*nb:3*nb], sets[3*nb:]
+	bits := make([]uint64, 4*words*len(r.Blocks))
+	carve := func() []uint64 {
+		s := bits[:words:words]
+		bits = bits[words:]
+		return s
 	}
 	for _, b := range r.Blocks {
-		use := make([]uint64, lv.words)
-		def := make([]uint64, lv.words)
+		use, def := carve(), carve()
 		for _, i := range b.Instrs {
 			switch i.Op {
 			case ir.OpVarRead:
-				v := vars[i.Name]
+				v := varOf[i.ID]
 				if def[v/64]&(1<<(v%64)) == 0 {
 					use[v/64] |= 1 << (v % 64)
 				}
 			case ir.OpVarWrite, ir.OpParam:
-				v := vars[i.Name]
+				v := varOf[i.ID]
 				def[v/64] |= 1 << (v % 64)
 			}
 		}
 		lv.use[b.ID] = use
 		lv.def[b.ID] = def
-		lv.in[b.ID] = make([]uint64, lv.words)
-		lv.out[b.ID] = make([]uint64, lv.words)
+		lv.in[b.ID] = carve()
+		lv.out[b.ID] = carve()
 	}
 	// Backward iterative dataflow to a fixed point.
 	for changed := true; changed; {
@@ -79,7 +82,8 @@ func (lv *liveness) liveIn(b *ir.Block, v int) bool {
 // any block — Briggs' "global names", the semi-pruned placement filter.
 func (lv *liveness) globals() []bool {
 	g := make([]bool, lv.nvars)
-	for _, use := range lv.use {
+	for _, b := range lv.r.Blocks {
+		use := lv.use[b.ID]
 		for v := 0; v < lv.nvars; v++ {
 			if use[v/64]&(1<<(v%64)) != 0 {
 				g[v] = true

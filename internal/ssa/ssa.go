@@ -14,8 +14,10 @@
 package ssa
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
+	"strconv"
 
 	"pgvn/internal/dom"
 	"pgvn/internal/ir"
@@ -45,37 +47,37 @@ func Build(r *ir.Routine, placement Placement) error {
 		return fmt.Errorf("ssa: pre-build verify: %w", err)
 	}
 	tree := dom.New(r)
+	defer tree.Release()
 
-	// Collect variables and their definition sites. Parameters define
-	// their names at the entry block.
-	vars := map[string]int{} // name -> dense index
+	// Collect variables and their definition sites, resolving each
+	// variable instruction's name once into varOf (by instruction id; -1
+	// for everything else). Verify just proved the ids unique and in
+	// range. Parameters define their names at the entry block.
+	vars := map[string]int32{} // name -> dense index
 	var names []string
-	varIndex := func(name string) int {
-		idx, ok := vars[name]
-		if !ok {
-			idx = len(names)
-			vars[name] = idx
-			names = append(names, name)
-		}
-		return idx
-	}
-	defBlocks := map[int][]*ir.Block{} // var index -> blocks with defs
-	defSeen := map[[2]int]bool{}
-	addDef := func(v int, b *ir.Block) {
-		if !defSeen[[2]int{v, b.ID}] {
-			defSeen[[2]int{v, b.ID}] = true
-			defBlocks[v] = append(defBlocks[v], b)
-		}
-	}
-	for _, b := range r.Blocks {
+	varOf := make([]int32, r.NumInstrIDs())
+	var defBlocks [][]*ir.Block // by var: blocks with defs, in block order
+	var lastDef []int32         // by var: 1 + index of the last block recorded
+	for k, b := range r.Blocks {
 		for _, i := range b.Instrs {
+			varOf[i.ID] = -1
 			switch i.Op {
-			case ir.OpVarWrite:
-				addDef(varIndex(i.Name), b)
-			case ir.OpVarRead:
-				varIndex(i.Name)
-			case ir.OpParam:
-				addDef(varIndex(i.Name), b)
+			case ir.OpVarWrite, ir.OpVarRead, ir.OpParam:
+			default:
+				continue
+			}
+			v, ok := vars[i.Name]
+			if !ok {
+				v = int32(len(names))
+				vars[i.Name] = v
+				names = append(names, i.Name)
+				defBlocks = append(defBlocks, nil)
+				lastDef = append(lastDef, 0)
+			}
+			varOf[i.ID] = v
+			if i.Op != ir.OpVarRead && lastDef[v] != int32(k+1) {
+				lastDef[v] = int32(k + 1)
+				defBlocks[v] = append(defBlocks[v], b)
 			}
 		}
 	}
@@ -83,38 +85,43 @@ func Build(r *ir.Routine, placement Placement) error {
 		return nil // already SSA (or no variables at all)
 	}
 
-	live := newLiveness(r, vars)
+	live := newLiveness(r, varOf, len(names))
 	globals := live.globals()
 
-	// φ-placement on iterated dominance frontiers.
+	// φ-placement on iterated dominance frontiers. placed and inWork are
+	// per-block stamps holding 1 + the variable last marked, so one pair
+	// of tables serves every variable. Each new φ's variable is appended
+	// to varOf, keeping it indexed by instruction id.
 	df := tree.Frontier()
-	phiVar := map[*ir.Instr]int{} // φ instruction -> var index
+	nb := r.NumBlockIDs()
+	placed := make([]int32, nb)
+	inWork := make([]int32, nb)
+	var work []*ir.Block
 	for v := range names {
 		if placement != Minimal && !globals[v] {
 			continue
 		}
-		placed := map[*ir.Block]bool{}
-		work := append([]*ir.Block(nil), defBlocks[v]...)
-		inWork := map[*ir.Block]bool{}
+		stamp := int32(v + 1)
+		work = append(work[:0], defBlocks[v]...)
 		for _, b := range work {
-			inWork[b] = true
+			inWork[b.ID] = stamp
 		}
 		for len(work) > 0 {
 			b := work[len(work)-1]
 			work = work[:len(work)-1]
 			for _, y := range df[b.ID] {
-				if placed[y] {
+				if placed[y.ID] == stamp {
 					continue
 				}
 				if placement == Pruned && !live.liveIn(y, v) {
 					continue
 				}
-				placed[y] = true
+				placed[y.ID] = stamp
 				phi := r.InsertPhi(y)
-				phi.Name = fmt.Sprintf("%s_%d", names[v], phi.ID)
-				phiVar[phi] = v
-				if !inWork[y] {
-					inWork[y] = true
+				phi.Name = names[v] + "_" + strconv.Itoa(phi.ID)
+				varOf = append(varOf, int32(v))
+				if inWork[y.ID] != stamp {
+					inWork[y.ID] = stamp
 					work = append(work, y)
 				}
 			}
@@ -122,9 +129,16 @@ func Build(r *ir.Routine, placement Placement) error {
 	}
 
 	// Renaming: dominator-tree walk with one definition stack per var.
+	// pushLog records the variable of every push; a block pops back to
+	// the mark it took on entry.
 	stacks := make([][]*ir.Instr, len(names))
+	var pushLog []int32
+	push := func(v int32, def *ir.Instr) {
+		stacks[v] = append(stacks[v], def)
+		pushLog = append(pushLog, v)
+	}
 	var undefZero *ir.Instr // lazily created constant 0 for undefined reads
-	currentDef := func(v int) *ir.Instr {
+	currentDef := func(v int32) *ir.Instr {
 		if s := stacks[v]; len(s) > 0 {
 			return s[len(s)-1]
 		}
@@ -146,41 +160,40 @@ func Build(r *ir.Routine, placement Placement) error {
 		return undefZero
 	}
 	var dead []*ir.Instr
+	// snap is the walk's one instruction buffer: resolving an undefined
+	// read materializes a constant in the entry block, which must not
+	// disturb the iteration. A block is done with it before its children
+	// are walked.
+	var snap []*ir.Instr
 	var walk func(b *ir.Block)
 	walk = func(b *ir.Block) {
-		pushed := make(map[int]int)
-		// Snapshot: resolving an undefined read materializes a constant
-		// in the entry block, which must not disturb this iteration.
-		for _, i := range append([]*ir.Instr(nil), b.Instrs...) {
+		mark := len(pushLog)
+		snap = append(snap[:0], b.Instrs...)
+		for _, i := range snap {
 			switch i.Op {
 			case ir.OpPhi:
-				if v, ok := phiVar[i]; ok {
-					stacks[v] = append(stacks[v], i)
-					pushed[v]++
+				if v := varOf[i.ID]; v >= 0 { // -1: pre-existing φ
+					push(v, i)
 				}
 			case ir.OpParam:
-				v := vars[i.Name]
-				stacks[v] = append(stacks[v], i)
-				pushed[v]++
+				push(varOf[i.ID], i)
 			case ir.OpVarRead:
-				def := currentDef(vars[i.Name])
+				def := currentDef(varOf[i.ID])
 				i.ReplaceUses(def)
 				dead = append(dead, i)
 			case ir.OpVarWrite:
-				v := vars[i.Name]
 				def := i.Args[0]
 				if def.Name == "" {
-					def.Name = fmt.Sprintf("%s_%d", i.Name, def.ID)
+					def.Name = i.Name + "_" + strconv.Itoa(def.ID)
 				}
-				stacks[v] = append(stacks[v], def)
-				pushed[v]++
+				push(varOf[i.ID], def)
 				dead = append(dead, i)
 			}
 		}
 		for _, e := range b.Succs {
 			for _, phi := range e.To.Phis() {
-				v, ok := phiVar[phi]
-				if !ok {
+				v := varOf[phi.ID]
+				if v < 0 {
 					continue // pre-existing φ, already SSA
 				}
 				phi.SetArg(e.InIndex(), currentDef(v))
@@ -189,9 +202,10 @@ func Build(r *ir.Routine, placement Placement) error {
 		for _, c := range tree.Children(b) {
 			walk(c)
 		}
-		for v, n := range pushed {
-			stacks[v] = stacks[v][:len(stacks[v])-n]
+		for _, v := range pushLog[mark:] {
+			stacks[v] = stacks[v][:len(stacks[v])-1]
 		}
+		pushLog = pushLog[:mark]
 	}
 	walk(r.Entry())
 
@@ -206,25 +220,28 @@ func Build(r *ir.Routine, placement Placement) error {
 		for _, i := range b.Instrs {
 			switch i.Op {
 			case ir.OpVarRead:
-				i.ReplaceUses(currentDef(vars[i.Name])) // stacks empty: const 0
+				i.ReplaceUses(currentDef(varOf[i.ID])) // stacks empty: const 0
 				dead = append(dead, i)
 			case ir.OpVarWrite:
 				dead = append(dead, i)
 			}
 		}
 	}
-	for _, phi := range allPhis(r) {
-		if _, ok := phiVar[phi]; !ok {
-			continue
-		}
-		for k, a := range phi.Args {
-			if a == nil {
-				phi.SetArg(k, currentDef(phiVar[phi]))
+	for _, b := range r.Blocks {
+		for _, phi := range b.Phis() {
+			v := varOf[phi.ID]
+			if v < 0 {
+				continue
+			}
+			for k, a := range phi.Args {
+				if a == nil {
+					phi.SetArg(k, currentDef(v))
+				}
 			}
 		}
 	}
 	// Delete in reverse creation order so uses are gone before defs.
-	sort.Slice(dead, func(i, j int) bool { return dead[i].ID > dead[j].ID })
+	slices.SortFunc(dead, func(a, b *ir.Instr) int { return cmp.Compare(b.ID, a.ID) })
 	for _, i := range dead {
 		if i.NumUses() > 0 {
 			// A VarRead with remaining uses can only mean ReplaceUses
@@ -237,12 +254,4 @@ func Build(r *ir.Routine, placement Placement) error {
 		return fmt.Errorf("ssa: post-build verify: %w", err)
 	}
 	return nil
-}
-
-func allPhis(r *ir.Routine) []*ir.Instr {
-	var phis []*ir.Instr
-	for _, b := range r.Blocks {
-		phis = append(phis, b.Phis()...)
-	}
-	return phis
 }

@@ -21,15 +21,18 @@ func Verify(r *ir.Routine) error {
 		return err
 	}
 	tree := dom.New(r)
-	pos := map[*ir.Instr]int{}
+	defer tree.Release()
+	// pos is each instruction's index in its block, by instruction id
+	// (r.Verify just proved the ids unique and in range).
+	pos := make([]int32, r.NumInstrIDs())
 	for _, b := range r.Blocks {
 		for k, i := range b.Instrs {
-			pos[i] = k
+			pos[i.ID] = int32(k)
 		}
 	}
 	dominatesUse := func(def *ir.Instr, useBlock *ir.Block, useIdx int) bool {
 		if def.Block == useBlock {
-			return pos[def] < useIdx
+			return int(pos[def.ID]) < useIdx
 		}
 		return tree.StrictlyDominates(def.Block, useBlock)
 	}
