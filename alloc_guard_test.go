@@ -1,12 +1,17 @@
 package pgvn
 
 import (
+	"runtime"
+	"runtime/metrics"
 	"testing"
+	"time"
 
 	"pgvn/internal/core"
+	"pgvn/internal/ir"
 	"pgvn/internal/opt/pre"
 	"pgvn/internal/parser"
 	"pgvn/internal/ssa"
+	"pgvn/internal/workload"
 )
 
 // TestFixpointAllocGuard gates the analysis hot path's allocation count.
@@ -130,4 +135,108 @@ func TestFrontEndAllocGuard(t *testing.T) {
 				g.what, g.allocs, g.max)
 		}
 	}
+}
+
+// TestAnalysisHeapBounded gates what the pooled analysis scratch keeps
+// alive between routines. A pool may hold capacity but never a pointer
+// into a finished routine or expression universe: the interner used to
+// carve each universe from the previous one's bump-chunk tails, so the
+// pooled interner pinned a chain of chunks back through every routine
+// the process had analyzed (≈26 KB per routine, unbounded in gvnd).
+//
+// The heap case analyzes the corpus K times with no collection in
+// between, then collects once, so the pool entry survives in the victim
+// cache, and compares the live heap against the one before the runs: it
+// must not grow with K. The finalizer case drops an analyzed routine and
+// its Result while the scratch sits in the pool; one collection must
+// find the routine unreachable.
+func TestAnalysisHeapBounded(t *testing.T) {
+	if testing.Short() {
+		t.Skip("analyzes the half-scale corpus five times")
+	}
+	var routines []*ir.Routine
+	for _, bm := range workload.Corpus(0.5) {
+		for _, r := range bm.Routines {
+			if err := ssa.Build(r, ssa.SemiPruned); err != nil {
+				t.Fatal(err)
+			}
+			routines = append(routines, r)
+		}
+	}
+	cfg := core.DefaultConfig()
+	sample := []metrics.Sample{{Name: "/gc/heap/live:bytes"}}
+	liveHeap := func() int64 {
+		metrics.Read(sample)
+		return int64(sample[0].Value.Uint64())
+	}
+	// growth returns the live-heap delta k corpus passes leave behind
+	// after one collection.
+	growth := func(k int) int64 {
+		runtime.GC()
+		runtime.GC() // drop any pool entry from earlier runs
+		before := liveHeap()
+		for range k {
+			for _, r := range routines {
+				if _, err := core.Run(r, cfg); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		runtime.GC()
+		return liveHeap() - before
+	}
+
+	t.Run("heap", func(t *testing.T) {
+		g1, g4 := growth(1), growth(4)
+		t.Logf("%d routines: live heap +%d KB after 1 pass, +%d KB after 4",
+			len(routines), g1>>10, g4>>10)
+		const slack = 1 << 20
+		if g4-g1 > slack {
+			t.Fatalf("live heap after 4 corpus passes exceeds 1 pass by %d KB, want ≤ %d KB — "+
+				"the pooled analysis scratch pins finished universes",
+				(g4-g1)>>10, slack>>10)
+		}
+	})
+
+	t.Run("finalizer", func(t *testing.T) {
+		// A routine is cyclic (its blocks point back at it), and a
+		// finalizer on an object reachable from itself never runs. So the
+		// finalizer sits on a pointer-free leaf that only the routine
+		// references: a fresh copy of one switch's case list, at least
+		// 16 bytes so the tiny allocator cannot pack it with other objects.
+		var sw *ir.Instr
+		r := func() *ir.Routine {
+			for _, src := range routines {
+				c := src.Clone()
+				for _, b := range c.Blocks {
+					for _, i := range b.Instrs {
+						if i.Op == ir.OpSwitch && len(i.Cases) > 0 {
+							sw = i
+							return c
+						}
+					}
+				}
+			}
+			return nil
+		}()
+		if r == nil {
+			t.Fatal("no routine in the corpus has a switch")
+		}
+		cases := make([]int64, len(sw.Cases), len(sw.Cases)+2)
+		copy(cases, sw.Cases)
+		sw.Cases = cases
+		collected := make(chan struct{})
+		runtime.SetFinalizer(&sw.Cases[0], func(*int64) { close(collected) })
+		if _, err := core.Run(r, cfg); err != nil {
+			t.Fatal(err)
+		}
+		r, sw = nil, nil
+		runtime.GC()
+		select {
+		case <-collected:
+		case <-time.After(5 * time.Second):
+			t.Fatal("an analyzed routine survived a collection after its Result was dropped — " +
+				"the pooled analysis scratch pins it")
+		}
+	})
 }

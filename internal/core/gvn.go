@@ -70,10 +70,12 @@ const noEdge ir.EdgeID = ^ir.EdgeID(0)
 // table the Result does NOT retain, recycled across routines through
 // scratchPool so a batch run (the driver walks thousands of routines) pays
 // the setup allocations roughly once per worker instead of once per
-// routine. Pooled memory is dirty: newAnalysis clears every table whose
-// zero value is meaningful before carving. State the Result escapes with
-// (blockReach, blockPred, classOf, rank, the class structs themselves) is
-// deliberately absent and allocated fresh per run.
+// routine. The pool holds capacity, never a pointer into a finished
+// routine or universe: release clears every pointer-bearing table and
+// the interner before the Put, and newAnalysis clears the pointer-free
+// tables whose zero value is meaningful before carving. State the Result
+// escapes with (blockReach, blockPred, classOf, rank, the class structs
+// themselves) is deliberately absent and allocated fresh per run.
 type scratch struct {
 	bools []bool       // backing for the pooled bool tables
 	exprs []*expr.Expr // backing for the pooled *Expr tables
@@ -361,15 +363,22 @@ func RunPrebuilt(r *ir.Routine, config Config, pre *Prebuilt) (*Result, error) {
 // the arena's index storage — for reuse by a later run. Called only after
 // result() has copied or converted everything the Result retains; error
 // paths skip it and simply let the garbage collector take the state.
+// Every pointer-bearing pooled table is cleared here, so an idle pool
+// pins nothing of this routine or its expression universe.
 func (a *analysis) release() {
 	sc := a.sc
 	if sc == nil {
 		return
 	}
 	a.sc = nil
-	sc.argbuf = a.argbuf[:0]
-	sc.phiArgs = a.phiArgs[:0]
-	sc.predParts = a.predParts[:0]
+	sc.in.Release()
+	clear(sc.table)
+	clear(sc.exprs)
+	clear(sc.infMemo)
+	clear(sc.canonical)
+	sc.argbuf = clearedBuf(a.argbuf)
+	sc.phiArgs = clearedBuf(a.phiArgs)
+	sc.predParts = clearedBuf(a.predParts)
 	sc.ppCanonical = a.ppCanonical[:0]
 	a.ar.Release()
 	scratchPool.Put(sc)
@@ -387,6 +396,15 @@ func (a *analysis) release() {
 		a.ownPost.Release()
 		a.ownPost, a.postTree = nil, nil
 	}
+}
+
+// clearedBuf empties an operand buffer for the pool, nil-ing its whole
+// backing array: evaluations truncate rather than clear, so stale
+// pointers sit past the length.
+func clearedBuf(s []*expr.Expr) []*expr.Expr {
+	s = s[:cap(s)]
+	clear(s)
+	return s[:0]
 }
 
 // newClass carves a fresh singleton congruence class for value v out of
@@ -457,16 +475,17 @@ func newAnalysis(r *ir.Routine, config Config, pre *Prebuilt) *analysis {
 	a.in = sc.in
 	if sc.table == nil {
 		sc.table = make(map[*expr.Expr]*class, ni)
-	} else {
-		clear(sc.table)
 	}
 	a.table = sc.table
 
-	// Pooled side tables: one recycled backing per element type, cleared
-	// on acquire (the validity stamps ppGen/ppInitGen/infMemo compare
-	// against counters that start above zero, so zeroed memory behaves
-	// exactly like a fresh run). blockReach, blockPred and rank escape
-	// into the Result and are carved from fresh allocations instead.
+	// Pooled side tables: one recycled backing per element type. The
+	// pointer-free ones are cleared here; the pointer-bearing ones
+	// (exprs, infMemo, canonical) were cleared by release and are nil
+	// past their length since allocation. Either way zeroed memory
+	// behaves exactly like a fresh run (the validity stamps
+	// ppGen/ppInitGen/infMemo compare against counters that start above
+	// zero). blockReach, blockPred and rank escape into the Result and
+	// are carved from fresh allocations instead.
 	nBool := 4*ni + 3*nb + 2*ne
 	if cap(sc.bools) < nBool {
 		sc.bools = make([]bool, nBool)
@@ -496,7 +515,6 @@ func newAnalysis(r *ir.Routine, config Config, pre *Prebuilt) *analysis {
 		sc.exprs = make([]*expr.Expr, nExpr)
 	} else {
 		sc.exprs = sc.exprs[:nExpr]
-		clear(sc.exprs)
 	}
 	exprs := sc.exprs
 	carveExpr := func(n int) []*expr.Expr {
@@ -531,14 +549,12 @@ func newAnalysis(r *ir.Routine, config Config, pre *Prebuilt) *analysis {
 		sc.infMemo = make([]memoEntry, ni)
 	} else {
 		sc.infMemo = sc.infMemo[:ni]
-		clear(sc.infMemo)
 	}
 	a.infMemo = sc.infMemo
 	if cap(sc.canonical) < nb {
 		sc.canonical = make([][]ir.EdgeID, nb)
 	} else {
 		sc.canonical = sc.canonical[:nb]
-		clear(sc.canonical)
 	}
 	a.canonical = sc.canonical
 	nOrd := len(order.Blocks)

@@ -95,8 +95,7 @@ func (r *Result) Partition() *Partition {
 	if cap(sc.byID) < p.numInstrIDs {
 		sc.byID = make([]*ir.Instr, p.numInstrIDs)
 	}
-	byID := sc.byID[:p.numInstrIDs]
-	clear(byID)
+	byID := sc.byID[:p.numInstrIDs] // nil: cleared before every Put
 	for k := range p.classOf {
 		p.classOf[k] = NoClass
 	}
@@ -130,8 +129,7 @@ func (r *Result) Partition() *Partition {
 	if cap(p.classes) < len(uniq) {
 		p.classes = make([]partClass, len(uniq))
 	}
-	p.classes = p.classes[:len(uniq)]
-	clear(p.classes) // reused entries may hold stale members/membersIn
+	p.classes = p.classes[:len(uniq)] // zero: Release clears before the Put
 	for k, c := range uniq {
 		c.dense = 0
 		pc := &p.classes[k]

@@ -237,7 +237,6 @@ func (t *Tree) StrictlyDominates(a, b *ir.Block) bool {
 func (t *Tree) Frontier() [][]*ir.Block {
 	n := len(t.idom)
 	df := make([][]*ir.Block, n)
-	inDF := make(map[[2]int]bool)
 	for _, b := range t.routine.Blocks {
 		if !t.contained[b.ID] {
 			continue
@@ -257,11 +256,14 @@ func (t *Tree) Frontier() [][]*ir.Block {
 				continue
 			}
 			for runner != nil && runner != t.idom[b.ID] {
-				key := [2]int{runner.ID, b.ID}
-				if !inDF[key] {
-					inDF[key] = true
-					df[runner.ID] = append(df[runner.ID], b)
+				// b's insertions all happen in this iteration of the
+				// outer loop, so a runner that already has b has it
+				// last — and an earlier pred's walk went on from it to
+				// idom(b), so every runner above it has b too.
+				if d := df[runner.ID]; len(d) > 0 && d[len(d)-1] == b {
+					break
 				}
+				df[runner.ID] = append(df[runner.ID], b)
 				runner = t.idom[runner.ID]
 			}
 		}

@@ -1,6 +1,7 @@
 package dom_test
 
 import (
+	"fmt"
 	"testing"
 
 	"pgvn/internal/dom"
@@ -148,6 +149,50 @@ func TestFrontier(t *testing.T) {
 	}
 	if f := get("tail"); !f["head"] {
 		t.Errorf("DF(tail) = %v, want to contain head", f)
+	}
+}
+
+// TestFrontierSharedRunner covers a merge whose predecessors' runner
+// walks meet: of join's preds, l1 and l2 both climb through l, k climbs
+// through s, and s itself reaches join along two parallel switch edges.
+// Every frontier must list join once.
+func TestFrontierSharedRunner(t *testing.T) {
+	r := parse(t, `
+func f(x) {
+entry:
+  if x < 0 goto l else s
+l:
+  if x < -5 goto l1 else l2
+l1:
+  goto join
+l2:
+  goto join
+s:
+  switch x [1: join, 2: k, default: join]
+k:
+  goto join
+join:
+  return x
+}
+`)
+	df := dom.New(r).Frontier()
+	want := map[string][]string{
+		"entry": nil,
+		"l":     {"join"},
+		"l1":    {"join"},
+		"l2":    {"join"},
+		"s":     {"join"},
+		"k":     {"join"},
+		"join":  nil,
+	}
+	for name, w := range want {
+		var got []string
+		for _, b := range df[blockByName(t, r, name).ID] {
+			got = append(got, b.Name)
+		}
+		if fmt.Sprint(got) != fmt.Sprint(w) {
+			t.Errorf("DF(%s) = %v, want %v", name, got, w)
+		}
 	}
 }
 

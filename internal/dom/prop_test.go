@@ -152,6 +152,13 @@ func TestFrontierAgainstDefinition(t *testing.T) {
 			if !tree.Contains(x) {
 				continue
 			}
+			seen := map[*ir.Block]bool{}
+			for _, y := range df[x.ID] {
+				if seen[y] {
+					t.Fatalf("seed %d: DF(%s) lists %s twice", seed, x, y)
+				}
+				seen[y] = true
+			}
 			for _, y := range r.Blocks {
 				if !tree.Contains(y) {
 					continue

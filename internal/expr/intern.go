@@ -127,7 +127,7 @@ func sameTerms(a, b []Term) bool {
 // reallocated once warm), which keeps the fixpoint hot path free of
 // per-evaluation allocations.
 type Interner struct {
-	tab   []*Expr // power-of-two bucket heads, chained via Expr.next
+	tab   []*Expr // power-of-two bucket heads, chained via Expr.next; all nil when count is 0
 	count int     // interned nodes (excludes shared atoms)
 
 	// Scratch arenas. Methods address them by base index (never by saved
@@ -140,10 +140,10 @@ type Interner struct {
 
 	// Bump chunks canonical nodes and their payloads are carved from, so
 	// an intern miss costs a slab advance instead of two heap objects.
-	// Chunks grow geometrically. Carved elements are handed out exactly
-	// once and never reclaimed, so the unused tail stays valid across
-	// Reset: a later universe carves from the same chunk without touching
-	// elements retained by earlier results.
+	// Every chunk belongs to one universe: Reset and Release drop the
+	// slabs, so a chunk is only ever pinned by the results of the routine
+	// that carved it. A slab is nil until its universe carves the first
+	// chunk, whose length (the *Chunk field) Reset sets from its hint.
 	nodes     []Expr
 	nodeChunk int
 	argSlab   []*Expr
@@ -154,14 +154,35 @@ type Interner struct {
 	facChunk  int
 }
 
+// Slab chunk bounds, in elements. Over the SPEC-shaped corpus a routine
+// interns a median of hint/5 nodes, hint/6 argument slots, hint/8 terms
+// and hint/10 factors, where hint is Reset's (twice the instruction count
+// in the analysis), so those fractions size each universe's first chunk.
+const (
+	minNodeChunk, maxNodeChunk = 32, 2048
+	minArgChunk, maxArgChunk   = 32, 4096
+	minTermChunk, maxTermChunk = 16, 2048
+	minFacChunk, maxFacChunk   = 16, 4096
+)
+
+// chunkLen is the length of a slab's next chunk: first for the universe's
+// first chunk (the slab is still nil) and a quarter of it for each refill,
+// so a routine that outgrows the estimate wastes at most a quarter-chunk;
+// never below lo, nor below need.
+func chunkLen(slabNil bool, first, lo, need int) int {
+	if !slabNil {
+		first /= 4
+	}
+	return max(first, lo, need)
+}
+
 // newNode carves one zeroed canonical node from the bump chunk.
 //
 //pgvn:hotpath
 func (in *Interner) newNode() *Expr {
 	if len(in.nodes) == 0 {
-		in.nodeChunk = min(max(2*in.nodeChunk, 64), 2048)
 		//pgvn:allow hotpathalloc: slab refill, amortized over the chunk
-		in.nodes = make([]Expr, in.nodeChunk)
+		in.nodes = make([]Expr, chunkLen(in.nodes == nil, in.nodeChunk, minNodeChunk, 1))
 	}
 	e := &in.nodes[0]
 	in.nodes = in.nodes[1:]
@@ -173,12 +194,8 @@ func (in *Interner) newNode() *Expr {
 //pgvn:hotpath
 func (in *Interner) argAlloc(n int) []*Expr {
 	if len(in.argSlab) < n {
-		in.argChunk = min(max(2*in.argChunk, 128), 4096)
-		if in.argChunk < n {
-			in.argChunk = n
-		}
 		//pgvn:allow hotpathalloc: slab refill, amortized over the chunk
-		in.argSlab = make([]*Expr, in.argChunk)
+		in.argSlab = make([]*Expr, chunkLen(in.argSlab == nil, in.argChunk, minArgChunk, n))
 	}
 	s := in.argSlab[:n:n]
 	in.argSlab = in.argSlab[n:]
@@ -188,12 +205,8 @@ func (in *Interner) argAlloc(n int) []*Expr {
 // termAlloc carves a fixed-capacity canonical Terms slice of length n.
 func (in *Interner) termAlloc(n int) []Term {
 	if len(in.termSlab) < n {
-		in.termChunk = min(max(2*in.termChunk, 64), 2048)
-		if in.termChunk < n {
-			in.termChunk = n
-		}
 		//pgvn:allow hotpathalloc: slab refill, amortized over the chunk
-		in.termSlab = make([]Term, in.termChunk)
+		in.termSlab = make([]Term, chunkLen(in.termSlab == nil, in.termChunk, minTermChunk, n))
 	}
 	s := in.termSlab[:n:n]
 	in.termSlab = in.termSlab[n:]
@@ -203,12 +216,8 @@ func (in *Interner) termAlloc(n int) []Term {
 // facAlloc carves a fixed-capacity canonical Factors slice of length n.
 func (in *Interner) facAlloc(n int) []ValueRef {
 	if len(in.facSlab) < n {
-		in.facChunk = min(max(2*in.facChunk, 128), 4096)
-		if in.facChunk < n {
-			in.facChunk = n
-		}
 		//pgvn:allow hotpathalloc: slab refill, amortized over the chunk
-		in.facSlab = make([]ValueRef, in.facChunk)
+		in.facSlab = make([]ValueRef, chunkLen(in.facSlab == nil, in.facChunk, minFacChunk, n))
 	}
 	s := in.facSlab[:n:n]
 	in.facSlab = in.facSlab[n:]
@@ -218,11 +227,9 @@ func (in *Interner) facAlloc(n int) []ValueRef {
 // NewInterner returns an empty universe sized for roughly hint distinct
 // expressions (e.g. an instruction count).
 func NewInterner(hint int) *Interner {
-	n := 64
-	for n*3 < hint*4 { // initial load ≤ 3/4
-		n <<= 1
-	}
-	return &Interner{tab: make([]*Expr, n)}
+	in := &Interner{}
+	in.Reset(hint)
+	return in
 }
 
 // Size returns the number of interned expressions (shared atoms such as
@@ -231,31 +238,41 @@ func (in *Interner) Size() int { return in.count }
 
 // Reset empties the universe for reuse on a new routine, keeping the
 // bucket table and scratch arenas warm (resized for roughly hint distinct
-// expressions). Nodes interned before the reset stay valid — results
-// retain them — but they are no longer canonical in this universe, so a
-// caller must never mix pre- and post-reset nodes in one analysis. The
-// table shrinks when the previous routine left it more than 4× oversized,
-// so one giant routine does not tax every later small one with clearing
-// costs.
+// expressions) and starting fresh slab chunks sized from hint. Nodes
+// interned before the reset stay valid — results retain them, with the
+// chunks they were carved from — but they are no longer canonical in
+// this universe, so a caller must never mix pre- and post-reset nodes in
+// one analysis. The table shrinks when the previous routine left it more
+// than 4× oversized, so one giant routine does not tax every later small
+// one with clearing costs.
 func (in *Interner) Reset(hint int) {
+	in.Release()
 	need := 64
-	for need*3 < hint*4 { // load ≤ 3/4, as in NewInterner
+	for need*3 < hint*4 { // initial load ≤ 3/4
 		need <<= 1
 	}
 	if need > len(in.tab) || len(in.tab) > 4*need {
 		in.tab = make([]*Expr, need)
-	} else {
-		clear(in.tab)
 	}
-	in.count = 0
-	in.terms = in.terms[:0]
-	in.factors = in.factors[:0]
-	in.flat = in.flat[:0]
-	// The bump-chunk tails deliberately survive: their elements were
-	// never handed out, so the next universe can carve them while earlier
-	// results keep the elements they escaped with (a freed result only
-	// unpins a chunk once every universe that carved from it is done —
-	// bounded by one chunk per slab).
+	in.nodeChunk = min(max(hint/5, minNodeChunk), maxNodeChunk)
+	in.argChunk = min(max(hint/6, minArgChunk), maxArgChunk)
+	in.termChunk = min(max(hint/8, minTermChunk), maxTermChunk)
+	in.facChunk = min(max(hint/10, minFacChunk), maxFacChunk)
+}
+
+// Release empties the universe and drops every pointer into it, keeping
+// only capacity: the bucket table and the pointer-bearing scratch arenas
+// are cleared and the slab chunks are let go. An Interner parked in a
+// pool after Release pins nothing of the routine it last served.
+func (in *Interner) Release() {
+	if in.count > 0 {
+		clear(in.tab)
+		in.count = 0
+	}
+	clear(in.terms[:cap(in.terms)])
+	clear(in.flat[:cap(in.flat)])
+	in.terms, in.factors, in.flat = in.terms[:0], in.factors[:0], in.flat[:0]
+	in.nodes, in.argSlab, in.termSlab, in.facSlab = nil, nil, nil, nil
 }
 
 func (in *Interner) bucket(h uint64) *Expr {

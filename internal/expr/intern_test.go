@@ -333,3 +333,56 @@ func TestHotPathAllocFree(t *testing.T) {
 		t.Fatalf("steady-state interning allocates %.1f allocs/op, want 0", allocs)
 	}
 }
+
+// TestResetStartsFreshUniverse pins the slab-ownership contract of Reset
+// and Release: the next universe carves from none of the previous one's
+// chunks, nodes interned before the reset keep their structure while it
+// interns over several fresh chunks, and equal expressions are distinct
+// nodes in the two universes.
+func TestResetStartsFreshUniverse(t *testing.T) {
+	r := rand.New(rand.NewSource(11))
+	in := NewInterner(0)
+	var raws []*Expr
+	var old []*Expr
+	var keys []string
+	for i := 0; i < 200; i++ {
+		e := randExpr(r, 3)
+		raws = append(raws, e)
+		c := in.Canon(e)
+		old = append(old, c)
+		keys = append(keys, c.Key())
+	}
+	for _, release := range []bool{false, true} {
+		if release {
+			in.Release()
+		}
+		in.Reset(0)
+		if in.Size() != 0 {
+			t.Fatalf("Size after Reset = %d, want 0", in.Size())
+		}
+		if in.nodes != nil || in.argSlab != nil || in.termSlab != nil || in.facSlab != nil {
+			t.Fatal("Reset kept a slab chunk of the previous universe")
+		}
+		for i := 0; i < 2000; i++ {
+			in.Canon(randExpr(r, 3))
+		}
+		for i, e := range raws {
+			c := in.Canon(e)
+			if c.Key() != keys[i] {
+				t.Fatalf("new universe interns %s as %s", keys[i], c.Key())
+			}
+			if old[i].Key() != keys[i] {
+				t.Fatalf("pre-reset node %s changed to %s", keys[i], old[i].Key())
+			}
+			if c == old[i] && !isShared(c) {
+				t.Fatalf("%s: the new universe returned a pre-reset node", keys[i])
+			}
+		}
+	}
+}
+
+// isShared reports whether e is one of the package-level canonical atoms
+// every universe shares.
+func isShared(e *Expr) bool {
+	return e == Bot || (e.Kind == Const && e.C >= -128 && e.C <= 1024)
+}

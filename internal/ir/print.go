@@ -1,7 +1,7 @@
 package ir
 
 import (
-	"fmt"
+	"strconv"
 	"strings"
 )
 
@@ -13,29 +13,26 @@ func sprintInstr(i *Instr) string {
 }
 
 func writeInstr(sb *strings.Builder, i *Instr) {
-	arg := func(k int) string {
-		// Guard the slot too: rendering a malformed instruction (in a
-		// Verify error, say) must not panic on an understated arity.
-		if k >= len(i.Args) || i.Args[k] == nil {
-			return "<nil>"
-		}
-		return i.Args[k].ValueName()
-	}
 	if i.HasValue() {
-		sb.WriteString(i.ValueName())
+		writeValueName(sb, i)
 		sb.WriteString(" = ")
 	}
 	switch i.Op {
 	case OpConst:
-		fmt.Fprintf(sb, "const %d", i.Const)
+		sb.WriteString("const ")
+		writeInt(sb, i.Const)
 	case OpParam:
 		sb.WriteString("param")
-	case OpCopy:
-		fmt.Fprintf(sb, "copy %s", arg(0))
-	case OpNeg:
-		fmt.Fprintf(sb, "neg %s", arg(0))
+	case OpCopy, OpNeg, OpReturn:
+		sb.WriteString(i.Op.String())
+		sb.WriteByte(' ')
+		writeArg(sb, i, 0)
 	case OpAdd, OpSub, OpMul, OpDiv, OpMod, OpEq, OpNe, OpLt, OpLe, OpGt, OpGe:
-		fmt.Fprintf(sb, "%s %s, %s", i.Op, arg(0), arg(1))
+		sb.WriteString(i.Op.String())
+		sb.WriteByte(' ')
+		writeArg(sb, i, 0)
+		sb.WriteString(", ")
+		writeArg(sb, i, 1)
 	case OpPhi:
 		sb.WriteString("phi [")
 		for k := range i.Args {
@@ -43,46 +40,84 @@ func writeInstr(sb *strings.Builder, i *Instr) {
 				sb.WriteString(", ")
 			}
 			if i.Block != nil && k < len(i.Block.Preds) {
-				fmt.Fprintf(sb, "%s: %s", i.Block.Preds[k].From.Name, arg(k))
-			} else {
-				sb.WriteString(arg(k))
+				sb.WriteString(i.Block.Preds[k].From.Name)
+				sb.WriteString(": ")
 			}
+			writeArg(sb, i, k)
 		}
 		sb.WriteString("]")
 	case OpCall:
-		fmt.Fprintf(sb, "call %s(", i.Name)
+		sb.WriteString("call ")
+		sb.WriteString(i.Name)
+		sb.WriteByte('(')
 		for k := range i.Args {
 			if k > 0 {
 				sb.WriteString(", ")
 			}
-			sb.WriteString(arg(k))
+			writeArg(sb, i, k)
 		}
 		sb.WriteString(")")
 	case OpVarRead:
-		fmt.Fprintf(sb, "varread %s", i.Name)
+		sb.WriteString("varread ")
+		sb.WriteString(i.Name)
 	case OpVarWrite:
-		fmt.Fprintf(sb, "varwrite %s, %s", i.Name, arg(0))
+		sb.WriteString("varwrite ")
+		sb.WriteString(i.Name)
+		sb.WriteString(", ")
+		writeArg(sb, i, 0)
 	case OpJump:
-		fmt.Fprintf(sb, "goto %s", succName(i, 0))
+		sb.WriteString("goto ")
+		sb.WriteString(succName(i, 0))
 	case OpBranch:
-		fmt.Fprintf(sb, "if %s goto %s else %s", arg(0), succName(i, 0), succName(i, 1))
+		sb.WriteString("if ")
+		writeArg(sb, i, 0)
+		sb.WriteString(" goto ")
+		sb.WriteString(succName(i, 0))
+		sb.WriteString(" else ")
+		sb.WriteString(succName(i, 1))
 	case OpSwitch:
-		fmt.Fprintf(sb, "switch %s [", arg(0))
+		sb.WriteString("switch ")
+		writeArg(sb, i, 0)
+		sb.WriteString(" [")
 		for k, c := range i.Cases {
-			if k > 0 {
-				sb.WriteString(", ")
-			}
-			fmt.Fprintf(sb, "%d: %s", c, succName(i, k))
-		}
-		if len(i.Cases) > 0 {
+			writeInt(sb, c)
+			sb.WriteString(": ")
+			sb.WriteString(succName(i, k))
 			sb.WriteString(", ")
 		}
-		fmt.Fprintf(sb, "default: %s]", succName(i, len(i.Cases)))
-	case OpReturn:
-		fmt.Fprintf(sb, "return %s", arg(0))
+		sb.WriteString("default: ")
+		sb.WriteString(succName(i, len(i.Cases)))
+		sb.WriteByte(']')
 	default:
-		fmt.Fprintf(sb, "%s ?", i.Op)
+		sb.WriteString(i.Op.String())
+		sb.WriteString(" ?")
 	}
+}
+
+// writeValueName writes i.ValueName() without building the string.
+func writeValueName(sb *strings.Builder, i *Instr) {
+	if i.Name != "" && i.Op != OpCall {
+		sb.WriteString(i.Name)
+		return
+	}
+	sb.WriteByte('v')
+	writeInt(sb, int64(i.ID))
+}
+
+// writeArg writes the value name of operand k. It guards the slot too:
+// rendering a malformed instruction (in a Verify error, say) must not
+// panic on an understated arity.
+func writeArg(sb *strings.Builder, i *Instr, k int) {
+	if k >= len(i.Args) || i.Args[k] == nil {
+		sb.WriteString("<nil>")
+		return
+	}
+	writeValueName(sb, i.Args[k])
+}
+
+func writeInt(sb *strings.Builder, n int64) {
+	var buf [20]byte
+	sb.Write(strconv.AppendInt(buf[:0], n, 10))
 }
 
 func succName(i *Instr, k int) string {
@@ -95,7 +130,12 @@ func succName(i *Instr, k int) string {
 // String renders the whole routine in the textual IR syntax accepted by
 // package parser.
 func (r *Routine) String() string {
+	n := 0
+	for _, b := range r.Blocks {
+		n += len(b.Instrs)
+	}
 	var sb strings.Builder
+	sb.Grow(32 + 28*n) // rendered routines average 24 bytes per instruction
 	sb.WriteString("func ")
 	sb.WriteString(r.Name)
 	sb.WriteString("(")
