@@ -221,6 +221,7 @@ func (a *analysis) evaluatePhi(i ir.InstrID) *expr.Expr {
 	}
 	predStart := ar.PredStart(b)
 	base := len(a.phiArgs)
+	var same *expr.Expr // the arguments' common leader; Bot once they differ
 	if canon := a.canonicalIn(b); canon != nil {
 		for _, eid := range canon {
 			if !a.edgeReach[eid] {
@@ -233,6 +234,7 @@ func (a *analysis) evaluatePhi(i ir.InstrID) *expr.Expr {
 				continue
 			}
 			a.phiArgs = append(a.phiArgs, av)
+			same = a.sameLeader(same, ar.Arg(i, int(eid-predStart)))
 		}
 	} else {
 		for eid := predStart; eid < ar.PredEnd(b); eid++ {
@@ -244,12 +246,24 @@ func (a *analysis) evaluatePhi(i ir.InstrID) *expr.Expr {
 				continue
 			}
 			a.phiArgs = append(a.phiArgs, av)
+			same = a.sameLeader(same, ar.Arg(i, int(eid-predStart)))
 		}
 	}
 	if len(a.phiArgs) == base {
 		return expr.Bot
 	}
-	e := a.in.Phi(a.phiTag(b), a.phiArgs[base:])
+	var e *expr.Expr
+	if same != expr.Bot && a.leaderExpr(i) == same {
+		// Every argument is congruent to one leader and the φ already
+		// sits in its class: it stays there. Inference only rewrites
+		// an argument to a value equal to it on its edge, so the φ is
+		// still that leader; splitting it off is non-monotone (the
+		// split can unmake the congruence the rewrite relied on, and
+		// the fixpoint then oscillates forever).
+		e = same
+	} else {
+		e = a.in.Phi(a.phiTag(b), a.phiArgs[base:])
+	}
 	a.phiArgs = a.phiArgs[:base]
 	if e.Kind == expr.Value {
 		// §3: when an expression reduces to a variable, value inference
@@ -257,6 +271,18 @@ func (a *analysis) evaluatePhi(i ir.InstrID) *expr.Expr {
 		e = a.inferAtomAtBlock(e, int32(b))
 	}
 	return e
+}
+
+// sameLeader folds argument v into the running common leader of a φ's
+// non-⊥ arguments: nil before the first, Bot once two differ.
+//
+//pgvn:hotpath
+func (a *analysis) sameLeader(same *expr.Expr, v ir.InstrID) *expr.Expr {
+	l := a.leaderExpr(v)
+	if same == nil || same == l {
+		return l
+	}
+	return expr.Bot
 }
 
 // phiTag returns the φ tag of a block: its predicate when φ-predication
