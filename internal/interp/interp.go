@@ -192,8 +192,8 @@ func run(r *ir.Routine, args []int64, maxSteps int, trace bool) (*Trace, error) 
 					cameFrom = b.Succs[1]
 				}
 			case ir.OpSwitch:
-				cameFrom = b.Succs[len(i.Cases)] // default
-				for k, c := range i.Cases {
+				cameFrom = b.Succs[len(b.Cases)] // default
+				for k, c := range b.Cases {
 					if a(0) == c {
 						cameFrom = b.Succs[k]
 						break

@@ -405,4 +405,4 @@ func (a *Arena) NameOf(i InstrID) string { return a.instrPtr[i].Name }
 // CasesOf returns the switch case constants of instruction i.
 //
 //pgvn:hotpath
-func (a *Arena) CasesOf(i InstrID) []int64 { return a.instrPtr[i].Cases }
+func (a *Arena) CasesOf(i InstrID) []int64 { return a.blockPtr[a.blockOf[i]].Cases }

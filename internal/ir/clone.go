@@ -19,9 +19,9 @@ func (r *Routine) Clone() *Routine {
 		nInstrs += len(b.Instrs)
 		nSuccs += len(b.Succs)
 		nPreds += len(b.Preds)
+		nCases += len(b.Cases)
 		for _, i := range b.Instrs {
 			nPtrs += len(i.Args) + len(i.uses)
-			nCases += len(i.Cases)
 		}
 	}
 	nPtrs += nInstrs
@@ -78,6 +78,11 @@ func (r *Routine) Clone() *Routine {
 		if b.ID >= 0 && b.ID < len(blockOf) {
 			blockOf[b.ID] = blockPair{b, nb}
 		}
+		if n := len(b.Cases); n > 0 {
+			nb.Cases = cases[:n:n]
+			cases = cases[n:]
+			copy(nb.Cases, b.Cases)
+		}
 		if len(b.Instrs) > 0 {
 			nb.Instrs = carve(len(b.Instrs))
 		}
@@ -90,11 +95,6 @@ func (r *Routine) Clone() *Routine {
 				Block: nb,
 				Const: i.Const,
 				Name:  i.Name,
-			}
-			if n := len(i.Cases); n > 0 {
-				ni.Cases = cases[:n:n]
-				cases = cases[n:]
-				copy(ni.Cases, i.Cases)
 			}
 			if n := len(i.uses); n > 0 {
 				ni.uses = carve(n)[:0]

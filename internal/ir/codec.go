@@ -65,8 +65,8 @@ func AppendMarshal(dst []byte, r *Routine) []byte {
 				dst = binary.AppendVarint(dst, i.Const)
 			}
 			if i.Op == OpSwitch {
-				dst = binary.AppendUvarint(dst, uint64(len(i.Cases)))
-				for _, c := range i.Cases {
+				dst = binary.AppendUvarint(dst, uint64(len(b.Cases)))
+				for _, c := range b.Cases {
 					dst = binary.AppendVarint(dst, c)
 				}
 			}
@@ -264,9 +264,9 @@ func Unmarshal(data []byte) (*Routine, error) {
 			}
 			if op == OpSwitch {
 				if numCases := d.count(1); numCases > 0 {
-					i.Cases = make([]int64, numCases)
-					for k := range i.Cases {
-						i.Cases[k] = d.varint()
+					b.Cases = make([]int64, numCases)
+					for k := range b.Cases {
+						b.Cases[k] = d.varint()
 					}
 				}
 			}

@@ -41,8 +41,8 @@ func (r *Routine) DOT(decorate func(*Block) string) string {
 						attr = " [label=\"F\"]"
 					}
 				case OpSwitch:
-					if k < len(term.Cases) {
-						attr = fmt.Sprintf(" [label=\"%d\"]", term.Cases[k])
+					if k < len(b.Cases) {
+						attr = fmt.Sprintf(" [label=\"%d\"]", b.Cases[k])
 					} else {
 						attr = " [label=\"default\"]"
 					}

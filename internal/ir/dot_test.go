@@ -46,7 +46,7 @@ func TestDOTSwitchLabels(t *testing.T) {
 	d := r.NewBlock("d")
 	x := r.AddParam("x")
 	sw := r.Append(entry, OpSwitch, x)
-	sw.Cases = []int64{3, 9}
+	sw.Block.Cases = []int64{3, 9}
 	r.AddEdge(entry, a)
 	r.AddEdge(entry, b)
 	r.AddEdge(entry, d)

@@ -3,7 +3,20 @@ package ir
 import (
 	"strings"
 	"testing"
+	"unsafe"
 )
+
+// TestInstrSize pins Instr to the 96-byte size class on 64-bit targets:
+// switch cases live on the block, so the one struct every value is made
+// of carries nothing only terminators need.
+func TestInstrSize(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("sizes are pinned for 64-bit targets")
+	}
+	if got := unsafe.Sizeof(Instr{}); got > 96 {
+		t.Fatalf("Instr is %d bytes, want ≤ 96", got)
+	}
+}
 
 // buildDiamond constructs:
 //

@@ -73,6 +73,8 @@ func (r *Routine) MergeBlocks(p, t *Block) {
 	}
 	p.Instrs = append(p.Instrs, t.Instrs...)
 	t.Instrs = nil
+	// t's terminator is p's now, and its switch cases with it.
+	p.Cases, t.Cases = t.Cases, nil
 	// t's outgoing edges become p's (same order).
 	p.Succs = append(p.Succs, t.Succs...)
 	for k, e := range p.Succs {

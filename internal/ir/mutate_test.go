@@ -210,7 +210,7 @@ func TestSplitEdgeMiddleSlot(t *testing.T) {
 		r.Append(blk, OpJump)
 		r.AddEdge(blk, join)
 	}
-	entry.Terminator().Cases = []int64{1, 2}
+	entry.Cases = []int64{1, 2}
 	phi := r.InsertPhi(join)
 	for k := range consts {
 		phi.SetArg(k, consts[k])
@@ -229,5 +229,38 @@ func TestSplitEdgeMiddleSlot(t *testing.T) {
 	}
 	if err := r.Verify(); err != nil {
 		t.Fatalf("verify: %v", err)
+	}
+}
+
+// TestMergeBlocksKeepsSwitchCases merges a switch block into its jumping
+// predecessor: the cases travel with the terminator to the merged block.
+func TestMergeBlocksKeepsSwitchCases(t *testing.T) {
+	r := NewRoutine("f")
+	entry := r.Entry()
+	sw := r.NewBlock("sw")
+	x := r.AddParam("x")
+	r.Append(entry, OpJump)
+	r.AddEdge(entry, sw)
+	r.Append(sw, OpSwitch, x)
+	for _, name := range []string{"a", "b", "c"} {
+		arm := r.NewBlock(name)
+		r.AddEdge(sw, arm)
+		r.Append(arm, OpReturn, x)
+	}
+	sw.Cases = []int64{4, 7}
+	want := "switch x [4: a, 7: b, default: c]"
+
+	r.MergeBlocks(entry, sw)
+	if err := r.Verify(); err != nil {
+		t.Fatalf("verify after merge: %v", err)
+	}
+	if len(entry.Cases) != 2 || entry.Cases[0] != 4 || entry.Cases[1] != 7 {
+		t.Fatalf("merged block cases = %v, want [4 7]", entry.Cases)
+	}
+	if sw.Cases != nil {
+		t.Fatalf("removed block still holds cases %v", sw.Cases)
+	}
+	if got := entry.Terminator().String(); got != want {
+		t.Fatalf("merged terminator prints %q, want %q", got, want)
 	}
 }

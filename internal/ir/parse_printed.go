@@ -245,7 +245,10 @@ func parsePrintedRoutine(lines []string, ln int) (*Routine, int, error) {
 			pi := &pb.instrs[ii]
 			pinnedID := instrIDs[bi][ii].set
 			i := &Instr{ID: fill(&instrIDs[bi][ii]), Op: pi.op, Block: b,
-				Name: pi.name, Const: pi.konst, Cases: pi.cases}
+				Name: pi.name, Const: pi.konst}
+			if pi.cases != nil {
+				b.Cases = pi.cases
+			}
 			if pi.def != "" {
 				// A non-v<N> def keeps its name; a v<N> def pinned the
 				// id instead and prints from it. A call's Name is its

@@ -79,14 +79,14 @@ func writeInstr(sb *strings.Builder, i *Instr) {
 		sb.WriteString("switch ")
 		writeArg(sb, i, 0)
 		sb.WriteString(" [")
-		for k, c := range i.Cases {
+		for k, c := range i.Block.Cases {
 			writeInt(sb, c)
 			sb.WriteString(": ")
 			sb.WriteString(succName(i, k))
 			sb.WriteString(", ")
 		}
 		sb.WriteString("default: ")
-		sb.WriteString(succName(i, len(i.Cases)))
+		sb.WriteString(succName(i, len(i.Block.Cases)))
 		sb.WriteByte(']')
 	default:
 		sb.WriteString(i.Op.String())

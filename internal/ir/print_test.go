@@ -26,7 +26,7 @@ func TestPrintAllInstructionForms(t *testing.T) {
 	wr.Name = "v"
 	_ = rd
 	sw := r.Append(entry, OpSwitch, md)
-	sw.Cases = []int64{1, 2}
+	sw.Block.Cases = []int64{1, 2}
 	r.AddEdge(entry, one)
 	r.AddEdge(entry, two)
 	r.AddEdge(entry, other)

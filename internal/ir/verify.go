@@ -185,9 +185,9 @@ func (r *Routine) verifyBlock(b *Block, ids []idSlot) error {
 		case OpReturn:
 			want = 0
 		case OpSwitch:
-			want = len(t.Cases) + 1
-			seen := make(map[int64]bool, len(t.Cases))
-			for _, c := range t.Cases {
+			want = len(b.Cases) + 1
+			seen := make(map[int64]bool, len(b.Cases))
+			for _, c := range b.Cases {
 				if seen[c] {
 					return fmt.Errorf("%s: block %s: switch has duplicate case %d", r.Name, b.Name, c)
 				}

@@ -23,7 +23,7 @@ func switchRoutine(t *testing.T, c0, c1 int64) *Routine {
 	targets := []*Block{r.NewBlock("a"), r.NewBlock("b"), r.NewBlock("d")}
 	s := r.AddParam("s")
 	sw := r.Append(e, OpSwitch, s)
-	sw.Cases = []int64{c0, c1}
+	sw.Block.Cases = []int64{c0, c1}
 	for _, b := range targets {
 		r.AddEdge(e, b)
 		r.Append(b, OpReturn, r.ConstInt(b, 0))

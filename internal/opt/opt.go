@@ -217,7 +217,7 @@ func simplifyTerminator(r *ir.Routine, b *ir.Block) {
 		if len(b.Succs) == 1 {
 			term.SetArg(0, nil)
 			term.Args = nil
-			term.Cases = nil
+			b.Cases = nil
 			term.Op = ir.OpJump
 		}
 	}

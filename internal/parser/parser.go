@@ -335,7 +335,7 @@ func (p *parser) parseSwitch() error {
 			if err != nil {
 				return err
 			}
-			sw.Cases = append(sw.Cases, c)
+			sw.Block.Cases = append(sw.Block.Cases, c)
 			caseEdges = append(caseEdges, pendingEdge{p.cur, label, line})
 		}
 		if p.isPunct(",") {

@@ -72,8 +72,8 @@ other:
 	if term.Op != ir.OpSwitch {
 		t.Fatalf("terminator = %v", term.Op)
 	}
-	if len(term.Cases) != 2 || term.Cases[0] != 1 || term.Cases[1] != 5 {
-		t.Fatalf("cases = %v", term.Cases)
+	if len(term.Block.Cases) != 2 || term.Block.Cases[0] != 1 || term.Block.Cases[1] != 5 {
+		t.Fatalf("cases = %v", term.Block.Cases)
 	}
 	if len(entry.Succs) != 3 || entry.Succs[2].To.Name != "other" {
 		t.Fatalf("switch successors wrong")

@@ -556,7 +556,7 @@ func (g *generator) stmtSwitch() {
 	join := g.newBlock("j")
 	var arms []*ir.Block
 	for k := 0; k < n; k++ {
-		sw.Cases = append(sw.Cases, int64(k))
+		sw.Block.Cases = append(sw.Block.Cases, int64(k))
 		arms = append(arms, g.newBlock("a"))
 	}
 	arms = append(arms, g.newBlock("a")) // default

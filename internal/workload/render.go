@@ -119,10 +119,10 @@ func writeSourceStmt(sb *strings.Builder, i *ir.Instr) {
 			i.Block.Succs[0].To.Name, i.Block.Succs[1].To.Name)
 	case ir.OpSwitch:
 		fmt.Fprintf(sb, "switch %s [", sourceRef(i.Args[0]))
-		for k, c := range i.Cases {
+		for k, c := range i.Block.Cases {
 			fmt.Fprintf(sb, "%d: %s, ", c, i.Block.Succs[k].To.Name)
 		}
-		fmt.Fprintf(sb, "default: %s]", i.Block.Succs[len(i.Cases)].To.Name)
+		fmt.Fprintf(sb, "default: %s]", i.Block.Succs[len(i.Block.Cases)].To.Name)
 	case ir.OpReturn:
 		fmt.Fprintf(sb, "return %s", sourceRef(i.Args[0]))
 	default:
