@@ -40,8 +40,8 @@ func main() {
 		start := time.Now()
 		for _, b := range corpus {
 			for _, r := range b.Routines {
-				work := r.Clone()
-				if err := ssa.Build(work, ssa.SemiPruned); err != nil {
+				work, err := ssa.BuildFrom(r, ssa.SemiPruned)
+				if err != nil {
 					log.Fatal(err)
 				}
 				res, err := core.Run(work, c.cfg)

@@ -60,7 +60,7 @@ func PassSandwich(r *ir.Routine, pass string) *Error {
 	return wrap(r.Name, "opt:"+pass, vs)
 }
 
-// Pipeline runs the whole pipeline on a clone of r with checking at the
+// Pipeline runs the whole pipeline on a copy of r with checking at the
 // given level between every stage: parse form → SSA construction → GVN →
 // opt.Apply. It returns the first *Error (as an error), a pipeline
 // failure (SSA construction, analysis or transformation), or nil when
@@ -83,8 +83,8 @@ func PipelinePRE(r *ir.Routine, cfg core.Config, placement ssa.Placement, level 
 	if e := Structural(r, "parse"); e != nil {
 		return e
 	}
-	work := r.Clone()
-	if err := ssa.Build(work, placement); err != nil {
+	work, err := ssa.BuildFrom(r, placement)
+	if err != nil {
 		return err
 	}
 	if e := Structural(work, "ssa"); e != nil {

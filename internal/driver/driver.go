@@ -17,7 +17,8 @@
 //     stage-"check" RoutineErrors and the level is part of the cache
 //     key, so checked and unchecked results never mix.
 //
-// Input routines are never mutated: every worker operates on a clone.
+// Input routines are never mutated: every worker builds the SSA form of
+// its routine as a new routine (ssa.BuildFrom) and works on that.
 package driver
 
 import (
@@ -127,7 +128,7 @@ func (c Config) Fingerprint() string { return c.fingerprint() }
 type Driver struct {
 	cfg Config
 	fp  string
-	// preProcess, when set (tests only), runs on the cloned routine
+	// preProcess, when set (tests only), runs on each input routine
 	// before the pipeline — the fault-injection hook.
 	preProcess func(*ir.Routine)
 }
@@ -333,15 +334,17 @@ func (d *Driver) one(parent *obs.Span, idx int, r *ir.Routine) (rr RoutineResult
 		rr.Err = &RoutineError{Index: idx, Routine: r.Name, Stage: "check", Err: e}
 		return true
 	}
-	work := r.Clone()
 	if d.preProcess != nil {
-		d.preProcess(work)
+		d.preProcess(r)
 	}
-	if d.cfg.Check != check.Off && checked(check.Structural(work, "parse")) {
+	if d.cfg.Check != check.Off && checked(check.Structural(r, "parse")) {
 		return rr
 	}
+	// The SSA form is built straight from the caller's routine into a
+	// routine of its own: r is never mutated and no pseudo-instruction
+	// is ever copied.
 	_, endSSA := stage("ssa")
-	err := ssa.Build(work, d.cfg.Placement)
+	work, err := ssa.BuildFrom(r, d.cfg.Placement)
 	endSSA()
 	if err != nil {
 		rr.Err = &RoutineError{Index: idx, Routine: r.Name, Stage: "ssa", Err: err}

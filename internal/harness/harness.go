@@ -142,10 +142,9 @@ func traceNow() *obs.Collector { return traceCol.Load() }
 // total time and the GVN-only time.
 func pipeline(r *ir.Routine, cfg core.Config) (total, gvn time.Duration, res *core.Result, err error) {
 	ctx := context.Background()
-	work := r.Clone()
 	start := time.Now()
 	reg := rtrace.StartRegion(ctx, "pgvn/ssa")
-	err = ssa.Build(work, ssa.SemiPruned)
+	work, err := ssa.BuildFrom(r, ssa.SemiPruned)
 	reg.End()
 	if err != nil {
 		return 0, 0, nil, err
@@ -422,7 +421,7 @@ func Figure(title string, corpus []workload.Benchmark, cfgA, cfgB core.Config) (
 		Classes:     map[int]int{},
 	}
 	// Counts must be taken on un-optimized routines, so both sides run
-	// analysis-only batches (the driver clones; inputs stay pristine).
+	// analysis-only batches (the driver copies; inputs stay pristine).
 	routines := flatten(corpus)
 	repsA, err := analyzeCorpus(routines, cfgA)
 	if err != nil {

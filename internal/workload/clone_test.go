@@ -17,12 +17,54 @@ import (
 // mutation leaking into the source — or, within the clone, as a
 // divergence from the same mutations applied to an independently built
 // twin of the source.
+//
+// ssa.BuildFrom copies too: it builds the SSA form of a pre-SSA routine
+// as a new routine. Its result is held to the same properties against
+// its source, and to equality with the in-place ssa.Build of a twin
+// before and after identical mutations.
 func TestCloneIndependenceCorpus(t *testing.T) {
 	for _, stage := range []string{"pre-SSA", "SSA"} {
 		srcs, twins := corpusRoutines(t, stage), corpusRoutines(t, stage)
 		for k, src := range srcs {
 			checkClone(t, stage, src, twins[k])
 		}
+	}
+	srcs, twins := corpusRoutines(t, "pre-SSA"), corpusRoutines(t, "pre-SSA")
+	for k, src := range srcs {
+		checkBuildFrom(t, src, twins[k])
+	}
+}
+
+func checkBuildFrom(t *testing.T, src, twin *ir.Routine) {
+	t.Helper()
+	name := "BuildFrom " + src.Name
+	want := src.String()
+	out, err := ssa.BuildFrom(src, ssa.SemiPruned)
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	if err := ssa.Build(twin, ssa.SemiPruned); err != nil {
+		t.Fatalf("%s: in-place Build of the twin: %v", name, err)
+	}
+	if got := src.String(); got != want {
+		t.Fatalf("%s: BuildFrom changed its source:\n%s\nvs\n%s", name, got, want)
+	}
+	if got, tw := out.String(), twin.String(); got != tw {
+		t.Fatalf("%s: BuildFrom and in-place Build differ:\n%s\nvs\n%s", name, got, tw)
+	}
+	if what := sharedWith(src, out); what != "" {
+		t.Fatalf("%s: result shares %s with its source", name, what)
+	}
+	mutate(t, out)
+	mutate(t, twin)
+	if got := src.String(); got != want {
+		t.Fatalf("%s: mutating the result changed the source:\n%s\nvs\n%s", name, got, want)
+	}
+	if err := src.Verify(); err != nil {
+		t.Fatalf("%s: source Verify after mutating the result: %v", name, err)
+	}
+	if got, tw := out.String(), twin.String(); got != tw {
+		t.Fatalf("%s: mutated result diverges from the identically mutated twin:\n%s\nvs\n%s", name, got, tw)
 	}
 }
 
@@ -73,8 +115,8 @@ func checkClone(t *testing.T, stage string, src, twin *ir.Routine) {
 	}
 }
 
-// sharedWith names the first IR object reachable from clone c that is
-// also reachable from src, or returns "".
+// sharedWith names the first IR object or backing array reachable from
+// clone c that is also reachable from src, or returns "".
 func sharedWith(src, c *ir.Routine) string {
 	instrs := map[*ir.Instr]bool{}
 	blocks := map[*ir.Block]bool{}
@@ -82,7 +124,14 @@ func sharedWith(src, c *ir.Routine) string {
 	walk(src, func(i *ir.Instr) { instrs[i] = true },
 		func(b *ir.Block) { blocks[b] = true },
 		func(e *ir.Edge) { edges[e] = true })
+	arrays := map[any]bool{}
+	eachArray(src, func(p any, _ string) { arrays[p] = true })
 	what := ""
+	eachArray(c, func(p any, name string) {
+		if what == "" && arrays[p] {
+			what = name
+		}
+	})
 	walk(c, func(i *ir.Instr) {
 		if what == "" && instrs[i] {
 			what = "instruction " + i.ValueName()
@@ -97,6 +146,36 @@ func sharedWith(src, c *ir.Routine) string {
 		}
 	})
 	return what
+}
+
+// eachArray calls f with the address of the first element of every
+// non-empty backing array r's own objects hold — instruction lists,
+// arguments, use lists, edge lists, switch cases and parameters — and a
+// description of its owner.
+func eachArray(r *ir.Routine, f func(p any, name string)) {
+	instrs := func(s []*ir.Instr, name string) {
+		if len(s) > 0 {
+			f(&s[0], name)
+		}
+	}
+	edges := func(s []*ir.Edge, name string) {
+		if len(s) > 0 {
+			f(&s[0], name)
+		}
+	}
+	instrs(r.Params, "parameter list")
+	for _, b := range r.Blocks {
+		instrs(b.Instrs, "instruction list of "+b.Name)
+		edges(b.Preds, "predecessor list of "+b.Name)
+		edges(b.Succs, "successor list of "+b.Name)
+		if len(b.Cases) > 0 {
+			f(&b.Cases[0], "switch cases of "+b.Name)
+		}
+		for _, i := range b.Instrs {
+			instrs(i.Args, "arguments of "+i.ValueName())
+			instrs(i.Uses(), "use list of "+i.ValueName())
+		}
+	}
 }
 
 // walk visits every instruction, block and edge reachable from r's block
