@@ -233,41 +233,66 @@ func (t *Tree) StrictlyDominates(a, b *ir.Block) bool {
 
 // Frontier computes the dominance frontier of every contained block
 // (Cooper–Harvey–Kennedy "runner" formulation). The result is indexed by
-// block ID; entries for non-contained blocks are nil.
+// block ID; entries for non-contained blocks are nil. The runner walk
+// runs twice, once to count each frontier and once to fill it, so every
+// frontier is carved from one backing array.
 func (t *Tree) Frontier() [][]*ir.Block {
 	n := len(t.idom)
-	df := make([][]*ir.Block, n)
-	for _, b := range t.routine.Blocks {
-		if !t.contained[b.ID] {
-			continue
-		}
-		preds := 0
-		for _, e := range b.Preds {
-			if t.contained[e.From.ID] {
-				preds++
-			}
-		}
-		if preds < 2 {
-			continue
-		}
-		for _, e := range b.Preds {
-			runner := e.From
-			if !t.contained[runner.ID] {
+	ints := make([]int32, 2*n)
+	count, last := ints[:n], ints[n:]
+	// runners calls visit(runner, b) once for every block b in runner's
+	// frontier. last[x] holds 1 + the id of the join block x last
+	// received: b's insertions all happen in one iteration of the outer
+	// loop, so a runner that already has b has it last — and an earlier
+	// pred's walk went on from it to idom(b), so every runner above it
+	// has b too.
+	runners := func(visit func(runner, b *ir.Block)) {
+		clear(last)
+		for _, b := range t.routine.Blocks {
+			if !t.contained[b.ID] {
 				continue
 			}
-			for runner != nil && runner != t.idom[b.ID] {
-				// b's insertions all happen in this iteration of the
-				// outer loop, so a runner that already has b has it
-				// last — and an earlier pred's walk went on from it to
-				// idom(b), so every runner above it has b too.
-				if d := df[runner.ID]; len(d) > 0 && d[len(d)-1] == b {
-					break
+			preds := 0
+			for _, e := range b.Preds {
+				if t.contained[e.From.ID] {
+					preds++
 				}
-				df[runner.ID] = append(df[runner.ID], b)
-				runner = t.idom[runner.ID]
+			}
+			if preds < 2 {
+				continue
+			}
+			for _, e := range b.Preds {
+				runner := e.From
+				if !t.contained[runner.ID] {
+					continue
+				}
+				for runner != nil && runner != t.idom[b.ID] {
+					if last[runner.ID] == int32(b.ID+1) {
+						break
+					}
+					last[runner.ID] = int32(b.ID + 1)
+					visit(runner, b)
+					runner = t.idom[runner.ID]
+				}
 			}
 		}
 	}
+	total := 0
+	runners(func(runner, _ *ir.Block) {
+		count[runner.ID]++
+		total++
+	})
+	df := make([][]*ir.Block, n)
+	slab := make([]*ir.Block, total)
+	for id, c := range count {
+		if c > 0 {
+			df[id] = slab[:0:c]
+			slab = slab[c:]
+		}
+	}
+	runners(func(runner, b *ir.Block) {
+		df[runner.ID] = append(df[runner.ID], b)
+	})
 	return df
 }
 

@@ -31,6 +31,24 @@ func BenchmarkBuild(b *testing.B) {
 	}
 }
 
+// BenchmarkBuildFrom is BenchmarkBuild's copying form: the SSA routine
+// is materialized straight from the unchanged source, with no clone.
+func BenchmarkBuildFrom(b *testing.B) {
+	for _, p := range placements {
+		b.Run(p.name, func(b *testing.B) {
+			orig := workload.Generate("bench", workload.GenConfig{
+				Seed: 42, Stmts: 120, Params: 3, MaxLoopDepth: 2,
+			})
+			b.ResetTimer()
+			for n := 0; n < b.N; n++ {
+				if _, err := ssa.BuildFrom(orig, p.p); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 func BenchmarkDestruct(b *testing.B) {
 	orig := workload.Generate("bench", workload.GenConfig{
 		Seed: 42, Stmts: 120, Params: 3, MaxLoopDepth: 2,
