@@ -376,3 +376,29 @@ func TestVerifyDetectsViolation(t *testing.T) {
 		t.Errorf("Verify accepted a φ arg defined in the φ's own block")
 	}
 }
+
+// TestBuildRejectsCyclicReads builds a variable-form routine whose reads
+// are used before they execute, so that each resolves to the other:
+// a := y; b := x; x = read a; y = read b. It verifies structurally (the
+// variable form has no dominance rule), but no value can stand for
+// either read, so both constructions must fail instead of looping.
+func TestBuildRejectsCyclicReads(t *testing.T) {
+	r := ir.NewRoutine("f")
+	entry := r.Entry()
+	x := r.Append(entry, ir.OpVarRead)
+	x.Name = "a"
+	y := r.Append(entry, ir.OpVarRead)
+	y.Name = "b"
+	r.Append(entry, ir.OpReturn, x)
+	r.InsertBefore(x, ir.OpVarWrite, y).Name = "a"
+	r.InsertBefore(x, ir.OpVarWrite, x).Name = "b"
+	if err := r.Verify(); err != nil {
+		t.Fatalf("input does not verify: %v", err)
+	}
+	if _, err := ssa.BuildFrom(r, ssa.SemiPruned); err == nil {
+		t.Errorf("BuildFrom accepted cyclic reads")
+	}
+	if err := ssa.Build(r, ssa.SemiPruned); err == nil {
+		t.Errorf("Build accepted cyclic reads:\n%s", r)
+	}
+}
