@@ -120,7 +120,7 @@ scan:
 	switch c {
 	case '(', ')', '{', '}', '[', ']', ',', ':', '=', '<', '>', '+', '-', '*', '/', '%':
 		lx.pos++
-		return token{kind: tokPunct, text: string(c), line: lx.line}, nil
+		return token{kind: tokPunct, text: lx.src[start:lx.pos], line: lx.line}, nil
 	}
 	return token{}, fmt.Errorf("line %d: unexpected character %q", lx.line, string(c))
 }
