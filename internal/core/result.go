@@ -174,7 +174,9 @@ type Counts struct {
 // Count computes the strength metrics of the analysis.
 func (r *Result) Count() Counts {
 	var c Counts
-	classes := make(map[*class]bool)
+	// A class is counted at its leader's id: every class has its own
+	// leader, which is one of its members.
+	seen := make([]bool, len(r.classOf))
 	r.Routine.Instrs(func(i *ir.Instr) {
 		if !i.HasValue() {
 			return
@@ -189,9 +191,11 @@ func (r *Result) Count() Counts {
 		if cl.leaderConst != nil {
 			c.ConstantValues++
 		}
-		classes[cl] = true
+		if !seen[cl.leaderVal] {
+			seen[cl.leaderVal] = true
+			c.Classes++
+		}
 	})
-	c.Classes = len(classes)
 	return c
 }
 

@@ -38,6 +38,12 @@ type Tree struct {
 	// tree, just the entry; for a postdominator tree, the real-block
 	// children of the virtual exit.
 	rootBlocks []*ir.Block
+	// Frontier's result and scratch, kept with the tree so a pooled
+	// tree recycles them: df[blockID] is carved from dfFlat, and
+	// dfInts holds the runner counts and join stamps.
+	df     [][]*ir.Block
+	dfFlat []*ir.Block
+	dfInts []int32
 }
 
 // New computes the dominator tree of the routine's full CFG.
@@ -235,11 +241,16 @@ func (t *Tree) StrictlyDominates(a, b *ir.Block) bool {
 // (Cooper–Harvey–Kennedy "runner" formulation). The result is indexed by
 // block ID; entries for non-contained blocks are nil. The runner walk
 // runs twice, once to count each frontier and once to fill it, so every
-// frontier is carved from one backing array.
+// frontier is carved from one backing array. The tree owns that storage:
+// the result is valid until the tree is released or Frontier runs again.
 func (t *Tree) Frontier() [][]*ir.Block {
 	n := len(t.idom)
-	ints := make([]int32, 2*n)
-	count, last := ints[:n], ints[n:]
+	if cap(t.dfInts) < 2*n {
+		t.dfInts = make([]int32, 2*n)
+	}
+	t.dfInts = t.dfInts[:2*n]
+	clear(t.dfInts)
+	count, last := t.dfInts[:n], t.dfInts[n:]
 	// runners calls visit(runner, b) once for every block b in runner's
 	// frontier. last[x] holds 1 + the id of the join block x last
 	// received: b's insertions all happen in one iteration of the outer
@@ -282,8 +293,18 @@ func (t *Tree) Frontier() [][]*ir.Block {
 		count[runner.ID]++
 		total++
 	})
-	df := make([][]*ir.Block, n)
-	slab := make([]*ir.Block, total)
+	// Clearing the previous result's used prefixes leaves both tables
+	// nil-filled, which the nil entries of non-contained blocks need.
+	clear(t.df)
+	clear(t.dfFlat)
+	if cap(t.df) < n {
+		t.df = make([][]*ir.Block, n)
+	}
+	if cap(t.dfFlat) < total {
+		t.dfFlat = make([]*ir.Block, total)
+	}
+	t.df, t.dfFlat = t.df[:n], t.dfFlat[:total]
+	df, slab := t.df, t.dfFlat
 	for id, c := range count {
 		if c > 0 {
 			df[id] = slab[:0:c]

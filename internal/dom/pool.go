@@ -153,5 +153,8 @@ func (t *Tree) Release() {
 	clear(t.children)
 	clear(t.flat)
 	clear(t.rootBlocks)
+	clear(t.df)
+	clear(t.dfFlat)
+	t.df, t.dfFlat = t.df[:0], t.dfFlat[:0]
 	treePool.Put(t)
 }

@@ -154,10 +154,12 @@ func (r *Routine) MaterializeSSA(p *SSAPlan) *Routine {
 	// Every argument is one use, so Args and use lists take nArgs
 	// pointers each.
 	nPtrs := nInstrs + 2*nArgs + len(r.Params)
-	ints := make([]int32, r.nextBlockID+2+2*nphi+r.nextInstrID+nphi+1+nArgs)
-	l, ints := r.layoutSSA(p, ints)
+	tab := getTables()
+	defer tab.release()
+	l, ints := r.layoutSSA(p, tab.int32s(r.nextBlockID+2+2*nphi+r.nextInstrID+nphi+1+nArgs))
 	useCount := ints[:l.numIDs:l.numIDs] // uses per value id
 	argIDs := ints[l.numIDs:][:0:nArgs]  // argument value ids in result order
+	clear(useCount)
 
 	nr := &Routine{Name: r.Name, nextInstrID: l.numIDs, nextBlockID: r.nextBlockID}
 	blocks := make([]Block, len(r.Blocks))
@@ -169,8 +171,8 @@ func (r *Routine) MaterializeSSA(p *SSAPlan) *Routine {
 	if nCases > 0 {
 		cases = make([]int64, nCases)
 	}
-	newOf := make([]*Instr, l.numIDs)        // result instruction by id
-	blockOf := make([]*Block, r.nextBlockID) // result block by id
+	newOf := tab.instrTable(l.numIDs)        // result instruction by id
+	blockOf := tab.blockTable(r.nextBlockID) // result block by id
 	carve := func(n int) []*Instr {
 		s := ptrs[:n:n]
 		ptrs = ptrs[n:]
@@ -284,9 +286,11 @@ func (r *Routine) MaterializeSSA(p *SSAPlan) *Routine {
 // so r ends up equal to MaterializeSSA's result in every observable
 // respect.
 func (r *Routine) ApplySSA(p *SSAPlan) {
-	l, _ := r.layoutSSA(p, make([]int32, r.nextBlockID+2+2*len(p.PhiBlock)))
+	tab := getTables()
+	defer tab.release()
+	l, _ := r.layoutSSA(p, tab.int32s(r.nextBlockID+2+2*len(p.PhiBlock)))
 	base := r.nextInstrID
-	byID := make([]*Instr, l.numIDs) // value by id
+	byID := tab.instrTable(l.numIDs) // value by id
 	for _, b := range r.Blocks {
 		for _, i := range b.Instrs {
 			byID[i.ID] = i

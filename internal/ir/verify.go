@@ -1,6 +1,9 @@
 package ir
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Verify checks the structural invariants of the routine and returns the
 // first violation found, or nil if the routine is well formed.
@@ -36,7 +39,9 @@ func (r *Routine) Verify() error {
 	if len(r.Entry().Preds) != 0 {
 		return fmt.Errorf("%s: entry block has predecessors", r.Name)
 	}
-	blockOwner := make([]*Block, r.NumBlockIDs())
+	tab := getTables()
+	defer tab.release()
+	blockOwner := tab.blockTable(r.NumBlockIDs())
 	for _, b := range r.Blocks {
 		if b.ID < 0 || b.ID >= len(blockOwner) {
 			return fmt.Errorf("%s: block %s has id %d outside [0, %d)",
@@ -47,7 +52,7 @@ func (r *Routine) Verify() error {
 		}
 		blockOwner[b.ID] = b
 	}
-	ids := make([]idSlot, r.NumInstrIDs())
+	ids := tab.slotTable(r.NumInstrIDs())
 	for _, b := range r.Blocks {
 		for _, i := range b.Instrs {
 			if i.ID < 0 || i.ID >= len(ids) {
@@ -62,7 +67,7 @@ func (r *Routine) Verify() error {
 		}
 	}
 	for _, b := range r.Blocks {
-		if err := r.verifyBlock(b, ids); err != nil {
+		if err := r.verifyBlock(b, ids, tab); err != nil {
 			return err
 		}
 	}
@@ -106,7 +111,7 @@ func isMember(ids []idSlot, i *Instr) bool {
 	return i != nil && i.ID >= 0 && i.ID < len(ids) && ids[i.ID].owner == i
 }
 
-func (r *Routine) verifyBlock(b *Block, ids []idSlot) error {
+func (r *Routine) verifyBlock(b *Block, ids []idSlot, tab *idTables) error {
 	if b.Routine != r {
 		return fmt.Errorf("%s: block %s belongs to another routine", r.Name, b.Name)
 	}
@@ -186,12 +191,14 @@ func (r *Routine) verifyBlock(b *Block, ids []idSlot) error {
 			want = 0
 		case OpSwitch:
 			want = len(b.Cases) + 1
-			seen := make(map[int64]bool, len(b.Cases))
-			for _, c := range b.Cases {
-				if seen[c] {
+			// Sorted, a duplicate sits next to its twin; the smallest
+			// duplicated value is reported.
+			tab.cases = append(tab.cases[:0], b.Cases...)
+			slices.Sort(tab.cases)
+			for k := 1; k < len(tab.cases); k++ {
+				if c := tab.cases[k]; c == tab.cases[k-1] {
 					return fmt.Errorf("%s: block %s: switch has duplicate case %d", r.Name, b.Name, c)
 				}
-				seen[c] = true
 			}
 		}
 		if want >= 0 && len(b.Succs) != want {

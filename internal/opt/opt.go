@@ -287,15 +287,17 @@ func PropagateConstants(res *core.Result) int {
 func EliminateRedundancies(res *core.Result) int {
 	r := res.Routine
 	tree := dom.New(r)
-	pos := map[*ir.Instr]int{}
+	defer tree.Release()
+	// pos is each instruction's index in its block, by instruction id.
+	pos := make([]int32, r.NumInstrIDs())
 	for _, b := range r.Blocks {
 		for k, i := range b.Instrs {
-			pos[i] = k
+			pos[i.ID] = int32(k)
 		}
 	}
 	precedes := func(a, b *ir.Instr) bool {
 		if a.Block == b.Block {
-			return pos[a] < pos[b]
+			return pos[a.ID] < pos[b.ID]
 		}
 		return tree.StrictlyDominates(a.Block, b.Block)
 	}
@@ -330,13 +332,13 @@ func EliminateRedundancies(res *core.Result) int {
 // each other around a loop die too. It returns the number of instructions
 // removed.
 func EliminateDeadCode(r *ir.Routine) int {
-	live := make(map[*ir.Instr]bool)
+	live := make([]bool, r.NumInstrIDs()) // by instruction id
 	var mark func(i *ir.Instr)
 	mark = func(i *ir.Instr) {
-		if live[i] {
+		if live[i.ID] {
 			return
 		}
-		live[i] = true
+		live[i.ID] = true
 		for _, a := range i.Args {
 			mark(a)
 		}
@@ -350,7 +352,7 @@ func EliminateDeadCode(r *ir.Routine) int {
 	})
 	var dead []*ir.Instr
 	r.Instrs(func(i *ir.Instr) {
-		if i.HasValue() && i.Op != ir.OpParam && !live[i] {
+		if i.HasValue() && i.Op != ir.OpParam && !live[i.ID] {
 			dead = append(dead, i)
 		}
 	})

@@ -21,6 +21,7 @@ package ssa
 import (
 	"fmt"
 	"strconv"
+	"sync"
 
 	"pgvn/internal/dom"
 	"pgvn/internal/ir"
@@ -47,11 +48,12 @@ const (
 // is structurally invalid. Blocks, edges and surviving instructions keep
 // their identity; BuildFrom is the copying form.
 func Build(r *ir.Routine, placement Placement) error {
-	p, err := plan(r, placement)
-	if err != nil || p == nil {
+	s, err := plan(r, placement)
+	if err != nil || s == nil {
 		return err
 	}
-	r.ApplySSA(p)
+	r.ApplySSA(&s.plan)
+	s.release()
 	if err := r.Verify(); err != nil {
 		return fmt.Errorf("ssa: post-build verify: %w", err)
 	}
@@ -65,14 +67,15 @@ func Build(r *ir.Routine, placement Placement) error {
 // src — ids, names, block and instruction order, NumInstrIDs and use
 // lists.
 func BuildFrom(src *ir.Routine, placement Placement) (*ir.Routine, error) {
-	p, err := plan(src, placement)
+	s, err := plan(src, placement)
 	if err != nil {
 		return nil, err
 	}
-	if p == nil {
+	if s == nil {
 		return src.Clone(), nil
 	}
-	r := src.MaterializeSSA(p)
+	r := src.MaterializeSSA(&s.plan)
+	s.release()
 	if err := r.Verify(); err != nil {
 		return nil, fmt.Errorf("ssa: post-build verify: %w", err)
 	}
@@ -83,246 +86,355 @@ func BuildFrom(src *ir.Routine, placement Placement) (*ir.Routine, error) {
 // variable-derived name; other non-variable instructions read -1.
 const renamed = -2
 
+// builder is the working state of one SSA construction, the plan it
+// hands to the materializer included. Builders are pooled under DESIGN
+// §17's rule: release clears every table holding a string or a block
+// pointer (the variable map, names and the plan's PhiBlock, PhiName and
+// Renames), so an idle builder pins nothing of the last routine, and
+// the stamp and bit tables whose zero value matters are cleared on
+// acquire. Every other table is written before it is read.
+type builder struct {
+	r    *ir.Routine
+	tree *dom.Tree
+	plan ir.SSAPlan
+	base int // the input's NumInstrIDs
+
+	vars  map[string]int32 // name -> dense index
+	names []string
+	// varOf is the variable of each variable instruction by id, -1 or
+	// renamed for other instructions, and the variable of placed φ k at
+	// base+k.
+	varOf     []int32
+	defBlocks [][]int32 // by var: ids of the blocks with defs, in block order
+	lastDef   []int32   // by var: 1 + index of the last block recorded
+	live      liveness
+
+	// placed and inWork are per-block stamps holding 1 + the variable
+	// last marked, so one pair of tables serves every variable.
+	placed, inWork []int32
+	work           []int32 // block ids
+	// The placed φs of each block, as a list threaded through phiNext
+	// from phiHead (by block id; -1 ends a list), and each φ's first
+	// argument slot in PhiArgs, all carved from ints.
+	ints                       []int32
+	phiHead, phiNext, argStart []int32
+
+	// Renaming keeps one definition stack per variable, threaded
+	// through a shared push log: top[v] indexes v's latest push, and
+	// each push records the one it shadows.
+	top                        []int32
+	pushVar, pushVal, pushPrev []int32
+	undefID                    int32
+	cyclic                     bool
+
+	// Every new name (placed φs first, then renames in walk order) is
+	// written into nameBuf; nameEnds records where each ends, and the
+	// names become substrings of one string copied out of the buffer.
+	nameBuf  []byte
+	nameEnds []int32
+}
+
+var builderPool sync.Pool
+
+func getBuilder(r *ir.Routine) *builder {
+	s, _ := builderPool.Get().(*builder)
+	if s == nil {
+		s = &builder{vars: map[string]int32{}}
+	}
+	s.r, s.cyclic = r, false
+	return s
+}
+
+// release returns s to the pool; the plan is unusable afterwards.
+func (s *builder) release() {
+	s.r = nil
+	clear(s.vars)
+	clear(s.names)
+	p := &s.plan
+	clear(p.PhiBlock)
+	clear(p.PhiName)
+	clear(p.Renames)
+	s.names = s.names[:0]
+	s.plan = ir.SSAPlan{PhiBlock: p.PhiBlock[:0], PhiName: p.PhiName[:0],
+		PhiArgs: p.PhiArgs[:0], Read: p.Read[:0], Renames: p.Renames[:0]}
+	builderPool.Put(s)
+}
+
+// resize returns t with length n, reusing its backing array when it is
+// large enough. The contents are not cleared.
+func resize[T any](t []T, n int) []T {
+	if cap(t) < n {
+		return make([]T, n)
+	}
+	return t[:n]
+}
+
+// fill returns t resized to n with every entry set to v.
+func fill[T any](t []T, n int, v T) []T {
+	t = resize(t, n)
+	for k := range t {
+		t[k] = v
+	}
+	return t
+}
+
 // plan computes the SSA construction of r without modifying it: the
 // dominator tree, liveness, φ placement on iterated dominance frontiers
-// and the renaming walk run read-only and record their outcome in an
-// ir.SSAPlan. It returns nil when r has no variables (already SSA).
-func plan(r *ir.Routine, placement Placement) (*ir.SSAPlan, error) {
+// and the renaming walk run read-only and record their outcome in the
+// returned builder's plan, which stays valid until its release. It
+// returns nil when r has no variables (already SSA).
+func plan(r *ir.Routine, placement Placement) (*builder, error) {
 	if err := r.Verify(); err != nil {
 		return nil, fmt.Errorf("ssa: pre-build verify: %w", err)
 	}
-	tree := dom.New(r)
-	defer tree.Release()
+	s := getBuilder(r)
+	s.collect()
+	if len(s.names) == 0 {
+		s.release()
+		return nil, nil // already SSA (or no variables at all)
+	}
+	s.tree = dom.New(r)
+	s.live.compute(r, s.varOf, len(s.names))
+	s.place(placement)
+	s.rename()
+	if err := s.resolveAll(); err != nil {
+		s.release()
+		return nil, err
+	}
+	return s, nil
+}
 
-	// Collect variables and their definition sites, resolving each
-	// variable instruction's name once into varOf (by instruction id; -1
-	// for everything else). Verify just proved the ids unique and in
-	// range. Parameters define their names at the entry block.
-	vars := map[string]int32{} // name -> dense index
-	var names []string
-	base := r.NumInstrIDs()
-	varOf := make([]int32, base)
-	var defBlocks [][]*ir.Block // by var: blocks with defs, in block order
-	var lastDef []int32         // by var: 1 + index of the last block recorded
-	for k, b := range r.Blocks {
+// collect gathers the variables and their definition sites, resolving
+// each variable instruction's name once into varOf. Verify just proved
+// the ids unique and in range. Parameters define their names at the
+// entry block.
+func (s *builder) collect() {
+	s.base = s.r.NumInstrIDs()
+	s.varOf = resize(s.varOf, s.base)
+	s.defBlocks, s.lastDef = s.defBlocks[:0], s.lastDef[:0]
+	for k, b := range s.r.Blocks {
 		for _, i := range b.Instrs {
-			varOf[i.ID] = -1
+			s.varOf[i.ID] = -1
 			switch i.Op {
 			case ir.OpVarWrite, ir.OpVarRead, ir.OpParam:
 			default:
 				continue
 			}
-			v, ok := vars[i.Name]
+			v, ok := s.vars[i.Name]
 			if !ok {
-				v = int32(len(names))
-				vars[i.Name] = v
-				names = append(names, i.Name)
-				defBlocks = append(defBlocks, nil)
-				lastDef = append(lastDef, 0)
+				v = int32(len(s.names))
+				s.vars[i.Name] = v
+				s.names = append(s.names, i.Name)
+				s.lastDef = append(s.lastDef, 0)
+				// Reuse the pooled per-variable list past the end.
+				if n := len(s.defBlocks); n < cap(s.defBlocks) {
+					s.defBlocks = s.defBlocks[:n+1]
+					s.defBlocks[n] = s.defBlocks[n][:0]
+				} else {
+					s.defBlocks = append(s.defBlocks, nil)
+				}
 			}
-			varOf[i.ID] = v
-			if i.Op != ir.OpVarRead && lastDef[v] != int32(k+1) {
-				lastDef[v] = int32(k + 1)
-				defBlocks[v] = append(defBlocks[v], b)
+			s.varOf[i.ID] = v
+			if i.Op != ir.OpVarRead && s.lastDef[v] != int32(k+1) {
+				s.lastDef[v] = int32(k + 1)
+				s.defBlocks[v] = append(s.defBlocks[v], int32(b.ID))
 			}
 		}
 	}
-	if len(names) == 0 {
-		return nil, nil // already SSA (or no variables at all)
-	}
+}
 
-	live := newLiveness(r, varOf, len(names))
-	globals := live.globals()
+// newName appends the name v_id to the name buffer.
+func (s *builder) newName(v string, id int) {
+	s.nameBuf = append(s.nameBuf, v...)
+	s.nameBuf = append(s.nameBuf, '_')
+	s.nameBuf = strconv.AppendInt(s.nameBuf, int64(id), 10)
+	s.nameEnds = append(s.nameEnds, int32(len(s.nameBuf)))
+}
 
-	// φ-placement on iterated dominance frontiers. placed and inWork are
-	// per-block stamps holding 1 + the variable last marked, so one pair
-	// of tables serves every variable. The k'th φ placed gets id base+k,
-	// and its variable is appended to varOf, keeping it indexed by id.
-	p := &ir.SSAPlan{}
-	// Every new name (placed φs first, then renames in walk order) is
-	// written into one buffer; nameEnds records where each ends, and
-	// the names become substrings of one string at the end.
-	var nameBuf []byte
-	var nameEnds []int32
-	newName := func(v string, id int) {
-		nameBuf = append(nameBuf, v...)
-		nameBuf = append(nameBuf, '_')
-		nameBuf = strconv.AppendInt(nameBuf, int64(id), 10)
-		nameEnds = append(nameEnds, int32(len(nameBuf)))
-	}
-	df := tree.Frontier()
-	nb := r.NumBlockIDs()
-	placed := make([]int32, nb)
-	inWork := make([]int32, nb)
-	var work []*ir.Block
-	for v := range names {
-		if placement != Minimal && !globals[v] {
+// place runs φ placement on iterated dominance frontiers. The k'th φ
+// placed gets id base+k, and its variable is appended to varOf, keeping
+// it indexed by id. It then threads the placed φs into per-block lists
+// and lays out their argument slots, unfilled slots reading -1.
+func (s *builder) place(placement Placement) {
+	p := &s.plan
+	s.nameBuf, s.nameEnds = s.nameBuf[:0], s.nameEnds[:0]
+	df := s.tree.Frontier()
+	nb := s.r.NumBlockIDs()
+	s.placed = resize(s.placed, nb)
+	s.inWork = resize(s.inWork, nb)
+	clear(s.placed)
+	clear(s.inWork)
+	for v := range s.names {
+		if placement != Minimal && !s.live.global[v] {
 			continue
 		}
 		stamp := int32(v + 1)
-		work = append(work[:0], defBlocks[v]...)
-		for _, b := range work {
-			inWork[b.ID] = stamp
+		s.work = append(s.work[:0], s.defBlocks[v]...)
+		for _, id := range s.work {
+			s.inWork[id] = stamp
 		}
-		for len(work) > 0 {
-			b := work[len(work)-1]
-			work = work[:len(work)-1]
-			for _, y := range df[b.ID] {
-				if placed[y.ID] == stamp {
+		for len(s.work) > 0 {
+			id := s.work[len(s.work)-1]
+			s.work = s.work[:len(s.work)-1]
+			for _, y := range df[id] {
+				if s.placed[y.ID] == stamp {
 					continue
 				}
-				if placement == Pruned && !live.liveIn(y, v) {
+				if placement == Pruned && !s.live.liveIn(y, v) {
 					continue
 				}
-				placed[y.ID] = stamp
+				s.placed[y.ID] = stamp
 				p.PhiBlock = append(p.PhiBlock, y)
-				newName(names[v], len(varOf))
-				varOf = append(varOf, int32(v))
-				if inWork[y.ID] != stamp {
-					inWork[y.ID] = stamp
-					work = append(work, y)
+				s.newName(s.names[v], len(s.varOf))
+				s.varOf = append(s.varOf, int32(v))
+				if s.inWork[y.ID] != stamp {
+					s.inWork[y.ID] = stamp
+					s.work = append(s.work, int32(y.ID))
 				}
 			}
 		}
 	}
 
-	// The placed φs of each block, as a list threaded through phiNext
-	// from phiHead (by block id; -1 ends a list), and each φ's first
-	// argument slot in PhiArgs. Unfilled slots read -1.
 	nphi := len(p.PhiBlock)
-	ints := make([]int32, nb+2*nphi)
-	phiHead, phiNext, argStart := ints[:nb], ints[nb:nb+nphi], ints[nb+nphi:]
-	for k := range phiHead {
-		phiHead[k] = -1
+	s.ints = resize(s.ints, nb+2*nphi)
+	s.phiHead, s.phiNext, s.argStart = s.ints[:nb], s.ints[nb:nb+nphi], s.ints[nb+nphi:]
+	for k := range s.phiHead {
+		s.phiHead[k] = -1
 	}
 	nargs := 0
 	for k, b := range p.PhiBlock {
-		phiNext[k] = phiHead[b.ID]
-		phiHead[b.ID] = int32(k)
-		argStart[k] = int32(nargs)
+		s.phiNext[k] = s.phiHead[b.ID]
+		s.phiHead[b.ID] = int32(k)
+		s.argStart[k] = int32(nargs)
 		nargs += len(b.Preds)
 	}
-	p.PhiArgs = make([]int32, nargs)
-	for k := range p.PhiArgs {
-		p.PhiArgs[k] = -1
-	}
-	p.Read = make([]int32, base)
-	for k := range p.Read {
-		p.Read[k] = -1
-	}
+	p.PhiArgs = fill(p.PhiArgs, nargs, -1)
+	p.Read = fill(p.Read, s.base, -1)
+}
 
-	// Renaming: dominator-tree walk with one definition stack per
-	// variable, threaded through a shared push log: top[v] indexes v's
-	// latest push, and each push records the one it shadows. A block
-	// pops back to the mark it took on entry. Definitions are value ids;
-	// a VarRead's definition is recorded in p.Read as it is reached.
-	undefID := int32(base + nphi)
-	top := make([]int32, len(names))
-	for k := range top {
-		top[k] = -1
-	}
-	var pushVar, pushVal, pushPrev []int32
-	push := func(v, def int32) {
-		pushVar = append(pushVar, v)
-		pushVal = append(pushVal, def)
-		pushPrev = append(pushPrev, top[v])
-		top[v] = int32(len(pushVal) - 1)
-	}
-	currentDef := func(v int32) int32 {
-		if t := top[v]; t >= 0 {
-			return pushVal[t]
-		}
-		p.Undef = true
-		return undefID
-	}
-	// resolve follows reads already reached to the value they read. A
-	// chain longer than the id space can only be a cycle of reads, which
-	// a routine whose uses are dominated by their definitions never has.
-	cyclic := false
-	resolve := func(id int32) int32 {
-		for n := 0; int(id) < base && p.Read[id] >= 0; n++ {
-			if n > base {
-				cyclic = true
-				return id
-			}
-			id = p.Read[id]
-		}
-		return id
-	}
-	var walk func(b *ir.Block)
-	walk = func(b *ir.Block) {
-		mark := len(pushVal)
-		for k := phiHead[b.ID]; k >= 0; k = phiNext[k] {
-			push(varOf[base+int(k)], int32(base)+k)
-		}
-		for _, i := range b.Instrs {
-			switch i.Op {
-			case ir.OpParam:
-				push(varOf[i.ID], int32(i.ID))
-			case ir.OpVarRead:
-				p.Read[i.ID] = currentDef(varOf[i.ID])
-			case ir.OpVarWrite:
-				// A read argument resolves to a definition that is
-				// already named; anything else is its own definition
-				// and takes the variable's name once.
-				a := i.Args[0]
-				if a.Op != ir.OpVarRead && a.Name == "" && varOf[a.ID] != renamed {
-					varOf[a.ID] = renamed
-					p.Renames = append(p.Renames, ir.SSARename{ID: int32(a.ID)})
-					newName(i.Name, a.ID)
-				}
-				push(varOf[i.ID], resolve(int32(a.ID)))
-			}
-		}
-		for _, e := range b.Succs {
-			for k := phiHead[e.To.ID]; k >= 0; k = phiNext[k] {
-				p.PhiArgs[argStart[k]+int32(e.InIndex())] = currentDef(varOf[base+int(k)])
-			}
-		}
-		for _, c := range tree.Children(b) {
-			walk(c)
-		}
-		for t := len(pushVal) - 1; t >= mark; t-- {
-			top[pushVar[t]] = pushPrev[t]
-		}
-		pushVar, pushVal, pushPrev = pushVar[:mark], pushVal[:mark], pushPrev[:mark]
-	}
-	walk(r.Entry())
+// rename runs the renaming walk over the dominator tree. Definitions are
+// value ids; a VarRead's definition is recorded in the plan's Read as it
+// is reached. The dominator tree is released afterwards.
+func (s *builder) rename() {
+	s.undefID = int32(s.base + len(s.plan.PhiBlock))
+	s.top = fill(s.top, len(s.names), -1)
+	s.pushVar, s.pushVal, s.pushPrev = s.pushVar[:0], s.pushVal[:0], s.pushPrev[:0]
+	s.walk(s.r.Entry())
 
 	// Reads in statically unreachable blocks (the walk never visits
-	// them) and φ slots on unreachable predecessors get the constant 0
-	// — GVN will prove them unreachable anyway. Then every read and φ
-	// argument is resolved to a value that survives construction.
-	for _, b := range r.Blocks {
-		if tree.Contains(b) {
+	// them) get the constant 0 — GVN will prove them unreachable anyway.
+	for _, b := range s.r.Blocks {
+		if s.tree.Contains(b) {
 			continue
 		}
 		for _, i := range b.Instrs {
 			if i.Op == ir.OpVarRead {
-				p.Read[i.ID] = currentDef(varOf[i.ID])
+				s.plan.Read[i.ID] = s.currentDef(s.varOf[i.ID])
 			}
 		}
 	}
+	s.tree.Release()
+	s.tree = nil
+}
+
+func (s *builder) push(v, def int32) {
+	s.pushVar = append(s.pushVar, v)
+	s.pushVal = append(s.pushVal, def)
+	s.pushPrev = append(s.pushPrev, s.top[v])
+	s.top[v] = int32(len(s.pushVal) - 1)
+}
+
+func (s *builder) currentDef(v int32) int32 {
+	if t := s.top[v]; t >= 0 {
+		return s.pushVal[t]
+	}
+	s.plan.Undef = true
+	return s.undefID
+}
+
+// resolve follows reads already reached to the value they read. A chain
+// longer than the id space can only be a cycle of reads, which a routine
+// whose uses are dominated by their definitions never has.
+func (s *builder) resolve(id int32) int32 {
+	read := s.plan.Read
+	for n := 0; int(id) < s.base && read[id] >= 0; n++ {
+		if n > s.base {
+			s.cyclic = true
+			return id
+		}
+		id = read[id]
+	}
+	return id
+}
+
+// walk renames block b and its dominator-tree subtree, popping back on
+// exit to the push-log mark it took on entry.
+func (s *builder) walk(b *ir.Block) {
+	p := &s.plan
+	base := int32(s.base)
+	mark := len(s.pushVal)
+	for k := s.phiHead[b.ID]; k >= 0; k = s.phiNext[k] {
+		s.push(s.varOf[base+k], base+k)
+	}
+	for _, i := range b.Instrs {
+		switch i.Op {
+		case ir.OpParam:
+			s.push(s.varOf[i.ID], int32(i.ID))
+		case ir.OpVarRead:
+			p.Read[i.ID] = s.currentDef(s.varOf[i.ID])
+		case ir.OpVarWrite:
+			// A read argument resolves to a definition that is already
+			// named; anything else is its own definition and takes the
+			// variable's name once.
+			a := i.Args[0]
+			if a.Op != ir.OpVarRead && a.Name == "" && s.varOf[a.ID] != renamed {
+				s.varOf[a.ID] = renamed
+				p.Renames = append(p.Renames, ir.SSARename{ID: int32(a.ID)})
+				s.newName(i.Name, a.ID)
+			}
+			s.push(s.varOf[i.ID], s.resolve(int32(a.ID)))
+		}
+	}
+	for _, e := range b.Succs {
+		for k := s.phiHead[e.To.ID]; k >= 0; k = s.phiNext[k] {
+			p.PhiArgs[s.argStart[k]+int32(e.InIndex())] = s.currentDef(s.varOf[base+k])
+		}
+	}
+	for _, c := range s.tree.Children(b) {
+		s.walk(c)
+	}
+	for t := len(s.pushVal) - 1; t >= mark; t-- {
+		s.top[s.pushVar[t]] = s.pushPrev[t]
+	}
+	s.pushVar, s.pushVal, s.pushPrev = s.pushVar[:mark], s.pushVal[:mark], s.pushPrev[:mark]
+}
+
+// resolveAll resolves every read and φ argument to a value that survives
+// construction — φ slots on unreachable predecessors get the constant 0
+// — and cuts the new names from one string.
+func (s *builder) resolveAll() error {
+	p := &s.plan
 	for k, v := range p.PhiArgs {
 		if v < 0 {
 			p.Undef = true
-			p.PhiArgs[k] = undefID
+			p.PhiArgs[k] = s.undefID
 		} else {
-			p.PhiArgs[k] = resolve(v)
+			p.PhiArgs[k] = s.resolve(v)
 		}
 	}
 	for k, v := range p.Read {
 		if v >= 0 {
-			p.Read[k] = resolve(v)
+			p.Read[k] = s.resolve(v)
 		}
 	}
-	if cyclic {
-		return nil, fmt.Errorf("ssa: %s: variable reads form a cycle", r.Name)
+	if s.cyclic {
+		return fmt.Errorf("ssa: %s: variable reads form a cycle", s.r.Name)
 	}
-	all := string(nameBuf)
+	nphi := len(p.PhiBlock)
+	all := string(s.nameBuf)
 	start := int32(0)
-	p.PhiName = make([]string, nphi)
-	for k, end := range nameEnds {
+	p.PhiName = resize(p.PhiName, nphi)
+	for k, end := range s.nameEnds {
 		if k < nphi {
 			p.PhiName[k] = all[start:end]
 		} else {
@@ -330,5 +442,5 @@ func plan(r *ir.Routine, placement Placement) (*ir.SSAPlan, error) {
 		}
 		start = end
 	}
-	return p, nil
+	return nil
 }
