@@ -53,6 +53,11 @@ const (
 	DefaultPeerFillTimeout   = 250 * time.Millisecond
 )
 
+// MaxPayloadBytes caps every peer response body this node reads and
+// every cache payload gvnd decompresses, so neither a misbehaving peer
+// nor a corrupt cache entry can balloon a node's memory.
+const MaxPayloadBytes = 32 << 20
+
 // Node is one fleet member: a routing name (the ring identity) and the
 // base URL it serves on. With bare-URL peer specs the two coincide,
 // which is what lets gvnload build the same ring from -targets.
@@ -469,16 +474,14 @@ func (c *Cluster) Stop() {
 	}
 }
 
-// readBounded reads a peer response body with a hard cap, so a
-// misbehaving peer cannot balloon this node's memory.
+// readBounded reads a peer response body capped at MaxPayloadBytes.
 func readBounded(r io.Reader) ([]byte, error) {
-	const maxPeerBody = 32 << 20
-	data, err := io.ReadAll(io.LimitReader(r, maxPeerBody+1))
+	data, err := io.ReadAll(io.LimitReader(r, MaxPayloadBytes+1))
 	if err != nil {
 		return nil, err
 	}
-	if len(data) > maxPeerBody {
-		return nil, fmt.Errorf("cluster: peer body exceeds %d bytes", maxPeerBody)
+	if len(data) > MaxPayloadBytes {
+		return nil, fmt.Errorf("cluster: peer body exceeds %d bytes", MaxPayloadBytes)
 	}
 	return data, nil
 }

@@ -105,15 +105,11 @@ func (c Config) jobs() int {
 // so the cache never conflates two configurations. core.Config is a flat
 // struct of scalars apart from the tracer — which observes the analysis
 // but never alters it, and is zeroed here so traced and untraced runs
-// share cache entries — so %#v is a stable, total rendering. The IR
-// codec version participates too: external caches (the gvnd store,
-// peer fill) persist codec-packed payloads, and folding the version
-// into the identity means a representation change can never replay
-// bytes packed under the old layout.
+// share cache entries — so %#v is a stable, total rendering.
 func (c Config) fingerprint() string {
 	c.Core.Trace = nil
-	return fmt.Sprintf("%#v|placement=%d|analyzeonly=%t|check=%s|fault=%s|pre=%t|codec=%d",
-		c.Core, c.Placement, c.AnalyzeOnly, c.Check, c.Fault, c.PRE, ir.CodecVersion)
+	return fmt.Sprintf("%#v|placement=%d|analyzeonly=%t|check=%s|fault=%s|pre=%t",
+		c.Core, c.Placement, c.AnalyzeOnly, c.Check, c.Fault, c.PRE)
 }
 
 // Fingerprint canonicalizes everything that affects a routine's result

@@ -2,8 +2,6 @@ package server
 
 import (
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -367,10 +365,10 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 	storeSpan := root.StartChild("store")
 	payload, tier, cached := s.lookupLocal(key)
 	if cached {
-		// Tiers hold the packed form; a payload that fails to unpack is
-		// treated as a miss and recomputed (the fill overwrites it).
-		if up, ok := unpackPayload(payload); ok {
-			payload = up
+		// Tiers hold the gzip'd response; a payload that fails to decode
+		// is treated as a miss and recomputed (the fill overwrites it).
+		if body, ok := decodePayload(payload); ok {
+			payload = body
 		} else {
 			cached = false
 			m.Counter("server.cache.unpack_errors").Inc()
@@ -401,13 +399,13 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 		}
 		pf.End()
 		if ok {
-			// The owner served the packed form: fill the local tiers
-			// with it as-is, unpack only for the client. A payload that
-			// fails to unpack is treated as a peer miss.
-			if up, uok := unpackPayload(payload); uok {
+			// The owner served the gzip'd form: fill the local tiers
+			// with it as-is, decode only for the client. A payload that
+			// fails to decode is treated as a peer miss.
+			if body, dok := decodePayload(payload); dok {
 				root.SetAttr("cache", "peer")
 				s.fillLocal(key, payload, false)
-				s.writePayload(w, up, "hit", "peer")
+				s.writePayload(w, body, "hit", "peer")
 				return
 			}
 			m.Counter("server.cache.unpack_errors").Inc()
@@ -535,10 +533,10 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 	disposition := "off"
 	if s.cfg.Store != nil || s.cfg.Hot != nil {
 		disposition = "miss"
+		// Cache tiers and the peer wire carry the gzip'd form; the
+		// client and coalesced followers get the JSON just computed.
+		s.fillLocal(key, encodePayload(payload), isOwner)
 	}
-	// Cache tiers and the peer wire carry the packed form; the client
-	// and coalesced followers get the raw JSON just computed.
-	s.fillLocal(key, packPayload(payload), isOwner)
 	flightResult = payload
 	s.writePayload(w, payload, disposition, "")
 }
@@ -576,7 +574,7 @@ func (s *Server) handlePeerCache(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set(TraceHeader, tid)
 	}
 	key := r.PathValue("key")
-	if !validStoreKey(key) {
+	if !store.ValidKey(key) {
 		writeErr(w, badRequest("bad_key", "malformed cache key %q", key))
 		return
 	}
@@ -593,16 +591,6 @@ func (s *Server) handlePeerCache(w http.ResponseWriter, r *http.Request) {
 	m.Counter("cluster.peer_serve.misses").Inc()
 	writeErr(w, &apiError{status: http.StatusNotFound, code: "not_cached",
 		msg: "key not cached on this node"})
-}
-
-// validStoreKey reports whether key has the shape of a content address
-// (SHA-256 hex).
-func validStoreKey(key string) bool {
-	if len(key) != sha256.Size*2 {
-		return false
-	}
-	_, err := hex.DecodeString(key)
-	return err == nil
 }
 
 // retryAfterHint derives the 429 Retry-After hint from the live queue

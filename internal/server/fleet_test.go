@@ -267,6 +267,30 @@ func TestFleetPeerFill(t *testing.T) {
 	}
 }
 
+// TestFleetCorruptPeerPayloadIsMiss: a bit-flipped payload on the
+// peer-fill wire is a peer miss. The non-owner computes, serves the
+// clean bytes and fills its hot tier with a valid entry.
+func TestFleetCorruptPeerPayloadIsMiss(t *testing.T) {
+	f := newFleet(t, 2)
+	src := corpusSources(t)[0]
+	ownerNode := f.owner(t, src, f.nodes)
+	status, _, want := f.post(t, ownerNode, src)
+	if status != http.StatusOK {
+		t.Fatalf("warm-up: %d", status)
+	}
+	other := f.nodes[0]
+	if other == ownerNode {
+		other = f.nodes[1]
+	}
+	key := store.Key(f.fp, src)
+	corruptHot(t, ownerNode.srv.cfg.Hot, key)
+	status, hdr, got := f.post(t, other, src)
+	checkRecomputed(t, status, hdr, got, want, other.reg, other.srv.cfg.Hot, key)
+	if other.pipeline.Load() != 1 {
+		t.Fatalf("non-owner pipeline runs = %d, want 1", other.pipeline.Load())
+	}
+}
+
 // TestFleetPeerMissFallsBackToCompute: a cold key on a non-owner whose
 // owner is also cold computes locally after the peer miss.
 func TestFleetPeerMissFallsBackToCompute(t *testing.T) {
@@ -598,19 +622,19 @@ func TestPeerEndpointNeverComputes(t *testing.T) {
 		t.Fatalf("peer endpoint ran the pipeline %d times", runs.Load())
 	}
 	// Warm via optimize, then the peer read serves the cached payload.
-	// The peer wire carries the packed (codec) form — smaller than the
-	// client JSON — and must unpack to exactly the bytes the client got.
+	// The peer wire carries the gzip'd form and must decode to exactly
+	// the bytes the client got.
 	rec := postOptimize(t, s.Handler(), reqBody(t, tinySource, nil))
 	if rec.Code != http.StatusOK {
 		t.Fatal(rec.Code)
 	}
 	code, body := get("/v1/peer/cache/" + key)
-	if code != http.StatusOK || !isPacked(body) {
-		t.Fatalf("warm peer read = %d, packed = %v", code, isPacked(body))
+	if isGzip := bytes.HasPrefix(body, []byte{0x1f, 0x8b}); code != http.StatusOK || !isGzip {
+		t.Fatalf("warm peer read = %d, gzip = %v", code, isGzip)
 	}
-	up, ok := unpackPayload(body)
-	if !ok || !bytes.Equal(up, rec.Body.Bytes()) {
-		t.Fatalf("peer payload does not unpack to the client response (ok=%v)", ok)
+	got, ok := decodePayload(body)
+	if !ok || !bytes.Equal(got, rec.Body.Bytes()) {
+		t.Fatalf("peer payload does not decode to the client response (ok=%v)", ok)
 	}
 	if n := reg.Counter("cluster.peer_serve.hits").Value(); n != 1 {
 		t.Fatalf("peer_serve.hits = %d", n)

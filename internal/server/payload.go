@@ -1,140 +1,60 @@
 package server
 
-// Cache payload packing. The optimize response body is dominated by
-// its Text field — the optimized routines rendered in the textual IR,
-// JSON-escaped on top. At rest (disk store, hot tier) and on the peer
-// fill wire the server instead keeps a packed form: the response JSON
-// with Text emptied, plus each routine in the ir binary codec. Packing
-// is verified at pack time by unpacking and comparing against the
-// original bytes, so a served payload is byte-identical to the
-// just-computed response or it is stored raw — never reconstructed
-// from an unverified encoding.
-//
-// The packed container is versioned independently of the ir codec
-// (whose version it also embeds); unpackPayload passes raw JSON
-// payloads through untouched, so stores written before packing existed
-// keep replaying.
+// Cache payloads. Every cache tier (the hot tier, the disk store) and
+// the peer-fill wire hold the optimize response exactly as served,
+// gzip'd, so a hit only decompresses and writes: nothing is re-rendered
+// or re-encoded. Gzip rather than raw deflate because its CRC-32 and
+// length trailer turn corrupt bytes into a miss instead of different
+// bytes; the hot tier and the peer wire have no checksum of their own.
 
 import (
 	"bytes"
-	"encoding/binary"
-	"encoding/json"
-	"strings"
+	"compress/gzip"
+	"io"
+	"sync"
 
-	"pgvn/internal/ir"
+	"pgvn/internal/cluster"
 )
 
-// packMagic distinguishes packed payloads from raw JSON ones (which
-// always start with '{').
-var packMagic = [4]byte{0, 'G', 'V', 'P'}
-
-// packVersion is the packed-container layout version.
-const packVersion = 1
-
-// packPayload returns the packed form of a freshly computed optimize
-// response, or the payload itself when packing does not apply (non-v1
-// schema, empty Text, unparsable text) or fails its round-trip
-// self-check. The result is always safe to hand to unpackPayload.
-func packPayload(payload []byte) []byte {
-	var resp OptimizeResponse
-	if json.Unmarshal(payload, &resp) != nil || resp.Schema != ResponseSchema || resp.Text == "" {
-		return payload
-	}
-	// Text is a concatenation of Routine.String outputs — the printed
-	// form, not the surface syntax — so it reparses via ir.ParsePrinted.
-	routines, err := ir.ParsePrinted(resp.Text)
-	if err != nil || len(routines) == 0 {
-		return payload
-	}
-	resp.Text = ""
-	rest, err := json.Marshal(&resp)
-	if err != nil {
-		return payload
-	}
-	packed := append([]byte(nil), packMagic[:]...)
-	packed = binary.AppendUvarint(packed, packVersion)
-	packed = binary.AppendUvarint(packed, ir.CodecVersion)
-	packed = binary.AppendUvarint(packed, uint64(len(rest)))
-	packed = append(packed, rest...)
-	packed = binary.AppendUvarint(packed, uint64(len(routines)))
-	for _, r := range routines {
-		body := ir.Marshal(r)
-		packed = binary.AppendUvarint(packed, uint64(len(body)))
-		packed = append(packed, body...)
-	}
-	// Self-check: only serve the packed form if it reproduces the
-	// original bytes exactly and actually saves space.
-	if up, ok := unpackPayload(packed); !ok || !bytes.Equal(up, payload) || len(packed) >= len(payload) {
-		return payload
-	}
-	return packed
+// gzipper is one compressor and the buffer it writes into. A fresh
+// gzip.Writer allocates about 800 KB of tables, so both are pooled;
+// the caller gets an exact-size copy of the output.
+type gzipper struct {
+	zw  *gzip.Writer
+	buf bytes.Buffer
 }
 
-// isPacked reports whether data carries the packed-container magic.
-func isPacked(data []byte) bool {
-	return len(data) >= len(packMagic) && bytes.Equal(data[:len(packMagic)], packMagic[:])
+// gzipPool holds capacity only (DESIGN §17): the writer's destination
+// is cleared on release, the buffer reset on acquire.
+var gzipPool = sync.Pool{New: func() any {
+	return &gzipper{zw: gzip.NewWriter(nil)}
+}}
+
+// encodePayload gzips a response body at the default level.
+func encodePayload(body []byte) []byte {
+	g := gzipPool.Get().(*gzipper)
+	g.buf.Reset()
+	g.zw.Reset(&g.buf)
+	// Writes into a bytes.Buffer cannot fail.
+	_, _ = g.zw.Write(body)
+	_ = g.zw.Close()
+	out := bytes.Clone(g.buf.Bytes())
+	g.zw.Reset(nil)
+	gzipPool.Put(g)
+	return out
 }
 
-// unpackPayload returns the client-visible JSON bytes for a cached
-// payload. Raw payloads pass through unchanged; packed payloads are
-// decoded, their routines re-rendered, and the response re-encoded
-// exactly as handleOptimize does. ok=false means a packed payload was
-// malformed — callers treat that as a cache miss.
-func unpackPayload(data []byte) ([]byte, bool) {
-	if !isPacked(data) {
-		return data, true
-	}
-	off := len(packMagic)
-	next := func() (uint64, bool) {
-		v, n := binary.Uvarint(data[off:])
-		if n <= 0 {
-			return 0, false
-		}
-		off += n
-		return v, true
-	}
-	pv, ok := next()
-	if !ok || pv != packVersion {
-		return nil, false
-	}
-	cv, ok := next()
-	if !ok || cv != ir.CodecVersion {
-		return nil, false
-	}
-	restLen, ok := next()
-	if !ok || restLen > uint64(len(data)-off) {
-		return nil, false
-	}
-	rest := data[off : off+int(restLen)]
-	off += int(restLen)
-	var resp OptimizeResponse
-	if json.Unmarshal(rest, &resp) != nil {
-		return nil, false
-	}
-	count, ok := next()
-	if !ok || count > uint64(len(data)-off) {
-		return nil, false
-	}
-	var text strings.Builder
-	for i := uint64(0); i < count; i++ {
-		bodyLen, ok := next()
-		if !ok || bodyLen > uint64(len(data)-off) {
-			return nil, false
-		}
-		r, err := ir.Unmarshal(data[off : off+int(bodyLen)])
-		if err != nil {
-			return nil, false
-		}
-		off += int(bodyLen)
-		text.WriteString(r.String())
-	}
-	if off != len(data) {
-		return nil, false
-	}
-	resp.Text = text.String()
-	out, err := json.MarshalIndent(resp, "", "  ")
+// decodePayload returns the response body a cache payload holds.
+// ok=false — malformed gzip, a failed CRC-32 or length check, or a body
+// past cluster.MaxPayloadBytes — means the caller treats it as a miss.
+func decodePayload(data []byte) ([]byte, bool) {
+	zr, err := gzip.NewReader(bytes.NewReader(data))
 	if err != nil {
 		return nil, false
 	}
-	return out, true
+	body, err := io.ReadAll(io.LimitReader(zr, cluster.MaxPayloadBytes+1))
+	if err != nil || len(body) > cluster.MaxPayloadBytes {
+		return nil, false
+	}
+	return body, true
 }

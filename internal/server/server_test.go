@@ -24,7 +24,7 @@ import (
 )
 
 // postOptimize sends one optimize request to the handler in-process.
-func postOptimize(t *testing.T, h http.Handler, body string) *httptest.ResponseRecorder {
+func postOptimize(t testing.TB, h http.Handler, body string) *httptest.ResponseRecorder {
 	t.Helper()
 	req := httptest.NewRequest(http.MethodPost, "/v1/optimize", strings.NewReader(body))
 	req.Header.Set("Content-Type", "application/json")
@@ -34,7 +34,7 @@ func postOptimize(t *testing.T, h http.Handler, body string) *httptest.ResponseR
 }
 
 // reqBody builds an optimize request envelope.
-func reqBody(t *testing.T, source string, extra map[string]any) string {
+func reqBody(t testing.TB, source string, extra map[string]any) string {
 	t.Helper()
 	m := map[string]any{"source": source}
 	for k, v := range extra {

@@ -13,6 +13,8 @@
 //   - Every entry embeds a checksum of its payload; Get verifies it (and
 //     that the entry's recorded key matches its filename) before serving,
 //     deleting corrupt files instead of returning them.
+//   - Entries are written in the binary v2 container. Files of the
+//     retired v1 JSON container are removed on Open, like temp files.
 //   - A byte budget is enforced by LRU eviction. Access order is kept in
 //     memory and persisted to an index file by Flush — periodically via
 //     FlushEvery and as the last step of gvnd's graceful drain — so a
@@ -37,22 +39,15 @@ import (
 	"time"
 )
 
-// Schema tags written into every entry and the index so future layout
-// changes can be detected instead of misread.
-//
-// Entries are written in the binary v2 container (varint-framed, raw
-// checksum and payload — the same framing style as the ir codec),
-// which drops the v1 JSON wrapper's base64 inflation and hex checksum:
-// roughly a third of every entry's bytes. Legacy v1 JSON entries are
-// still read, so stores written before v2 start warm; they are
-// rewritten in v2 on their next Put.
+// The index's schema tag lets a future layout change be detected
+// instead of misread. Entries are binary v2 containers (varint-framed,
+// raw checksum and payload); a v1 entry was a JSON file.
 const (
-	entrySchema = "gvnd-store/v1"
 	indexSchema = "gvnd-store-index/v1"
 	indexFile   = "index.json"
 	tmpPrefix   = ".tmp-"
 	entryExt    = ".bin"
-	legacyExt   = ".json"
+	v1Ext       = ".json"
 )
 
 // entryMagic opens every binary v2 entry file.
@@ -74,22 +69,8 @@ func Key(fingerprint, source string) string {
 
 // entry is the in-memory index record for one on-disk payload.
 type entry struct {
-	size   int64
-	atime  int64 // logical access clock, larger = more recent
-	legacy bool  // stored in the v1 JSON container (pre-v2 store)
-}
-
-// fileEntry is the legacy v1 on-disk form, still read so pre-v2 stores
-// start warm. Payload is []byte (base64 in the file), not
-// json.RawMessage: encoding/json compacts an embedded RawMessage on
-// marshal, which would silently change the stored bytes and break both
-// the checksum and the byte-identical replay guarantee for indented
-// payloads.
-type fileEntry struct {
-	Schema  string `json:"schema"`
-	Key     string `json:"key"`
-	Sum     string `json:"sum"` // SHA-256 hex of Payload
-	Payload []byte `json:"payload"`
+	size  int64
+	atime int64 // logical access clock, larger = more recent
 }
 
 // indexState is the on-disk form of the access-order index.
@@ -125,10 +106,11 @@ type Store struct {
 }
 
 // Open loads (creating if needed) the store rooted at dir. maxBytes <= 0
-// means unlimited. Stale temp files from a crashed writer are removed;
-// entries that fail basic shape checks are ignored (Get removes them on
-// first touch). If reloading leaves the store over budget — the cap was
-// lowered between runs — the oldest entries are evicted immediately.
+// means unlimited. Stale temp files from a crashed writer and v1 JSON
+// entries are removed; entries that fail basic shape checks are ignored
+// (Get removes them on first touch). If reloading leaves the store over
+// budget — the cap was lowered between runs — the oldest entries are
+// evicted immediately.
 func Open(dir string, maxBytes int64) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: %w", err)
@@ -153,19 +135,13 @@ func Open(dir string, maxBytes int64) (*Store, error) {
 			os.Remove(filepath.Join(dir, name)) // crashed writer leftovers
 			continue
 		}
-		key, legacy, ok := entryName(name)
-		if !ok {
+		if key, ok := strings.CutSuffix(name, v1Ext); ok && ValidKey(key) {
+			os.Remove(filepath.Join(dir, name)) // retired v1 container
 			continue
 		}
-		if old, ok := s.entries[key]; ok {
-			// Both containers present (a crash between a v2 rewrite and
-			// the legacy unlink): keep the v2 copy, drop the other file.
-			if legacy {
-				os.Remove(filepath.Join(dir, key+legacyExt))
-				continue
-			}
-			s.total -= old.size
-			os.Remove(filepath.Join(dir, key+legacyExt))
+		key, ok := strings.CutSuffix(name, entryExt)
+		if !ok || !ValidKey(key) {
+			continue
 		}
 		info, err := de.Info()
 		if err != nil {
@@ -179,7 +155,7 @@ func Open(dir string, maxBytes int64) (*Store, error) {
 			// acceptable: they predate this process's accesses anyway.
 			at = info.ModTime().UnixNano()
 		}
-		s.entries[key] = &entry{size: info.Size(), atime: at, legacy: legacy}
+		s.entries[key] = &entry{size: info.Size(), atime: at}
 		s.total += info.Size()
 		if at >= s.clock {
 			s.clock = at + 1
@@ -189,21 +165,14 @@ func Open(dir string, maxBytes int64) (*Store, error) {
 	return s, nil
 }
 
-// entryName reports whether name is a well-formed entry filename and
-// returns its key and whether it is a legacy v1 JSON entry.
-func entryName(name string) (key string, legacy, ok bool) {
-	key, ok = strings.CutSuffix(name, entryExt)
-	if !ok {
-		key, ok = strings.CutSuffix(name, legacyExt)
-		legacy = true
+// ValidKey reports whether key has the shape of a content address
+// (SHA-256 hex), as Key returns.
+func ValidKey(key string) bool {
+	if len(key) != sha256.Size*2 {
+		return false
 	}
-	if !ok || len(key) != sha256.Size*2 {
-		return "", false, false
-	}
-	if _, err := hex.DecodeString(key); err != nil {
-		return "", false, false
-	}
-	return key, legacy, true
+	_, err := hex.DecodeString(key)
+	return err == nil
 }
 
 // loadIndex reads the persisted access order; any failure just means
@@ -223,11 +192,8 @@ func (s *Store) loadIndex() map[string]int64 {
 	return idx.Atimes
 }
 
-// path returns the entry file for key in the given container.
-func (s *Store) path(key string, legacy bool) string {
-	if legacy {
-		return filepath.Join(s.dir, key+legacyExt)
-	}
+// path returns the entry file for key.
+func (s *Store) path(key string) string {
 	return filepath.Join(s.dir, key+entryExt)
 }
 
@@ -290,23 +256,13 @@ func (s *Store) Get(key string) ([]byte, bool) {
 		s.stats.Misses++
 		return nil, false
 	}
-	data, err := os.ReadFile(s.path(key, e.legacy))
+	data, err := os.ReadFile(s.path(key))
 	if err != nil {
 		s.dropLocked(key, false)
 		s.stats.Misses++
 		return nil, false
 	}
-	var payload []byte
-	valid := false
-	if e.legacy {
-		var fe fileEntry
-		if json.Unmarshal(data, &fe) == nil &&
-			fe.Schema == entrySchema && fe.Key == key && fe.Sum == payloadSum(fe.Payload) {
-			payload, valid = fe.Payload, true
-		}
-	} else {
-		payload, valid = decodeEntry(data, key)
-	}
+	payload, valid := decodeEntry(data, key)
 	if !valid {
 		s.dropLocked(key, true)
 		s.stats.Corrupt++
@@ -323,23 +279,18 @@ func (s *Store) Get(key string) ([]byte, bool) {
 // Put stores payload under key, atomically, and evicts least-recently
 // used entries while the store is over budget (never the entry just
 // written — a payload larger than the whole budget is still served to
-// its writer and evicted by the next Put). A key previously held in
-// the legacy JSON container is rewritten in v2 and the old file
-// removed.
+// its writer and evicted by the next Put).
 //
 //pgvn:allow lockscope: the store lock IS the disk-serialization point by design (DESIGN §11)
 func (s *Store) Put(key string, payload []byte) error {
 	data := encodeEntry(key, payload)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if err := s.writeAtomic(s.path(key, false), data); err != nil {
+	if err := s.writeAtomic(s.path(key), data); err != nil {
 		return err
 	}
 	if old, ok := s.entries[key]; ok {
 		s.total -= old.size
-		if old.legacy {
-			os.Remove(s.path(key, true))
-		}
 	}
 	s.clock++
 	s.entries[key] = &entry{size: int64(len(data)), atime: s.clock}
@@ -401,15 +352,13 @@ func (s *Store) evictLocked(keep *entry) {
 
 // dropLocked forgets an entry, optionally removing its file.
 func (s *Store) dropLocked(key string, unlink bool) {
-	legacy := false
 	if e, ok := s.entries[key]; ok {
-		legacy = e.legacy
 		s.total -= e.size
 		delete(s.entries, key)
 		s.dirty = true
 	}
 	if unlink {
-		os.Remove(s.path(key, legacy))
+		os.Remove(s.path(key))
 	}
 }
 
@@ -514,10 +463,4 @@ func (s *Store) Keys() []string {
 		return s.entries[keys[i]].atime > s.entries[keys[j]].atime
 	})
 	return keys
-}
-
-// payloadSum hashes a payload for the integrity check.
-func payloadSum(p []byte) string {
-	h := sha256.Sum256(p)
-	return hex.EncodeToString(h[:])
 }

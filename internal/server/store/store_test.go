@@ -114,59 +114,23 @@ func TestCorruptEntryIsMissAndRemoved(t *testing.T) {
 	}
 }
 
-// TestLegacyEntryReadAndRewritten: a v1 JSON entry written by an older
-// daemon is served as-is, and its next Put rewrites it in the binary
-// container and removes the JSON file.
-func TestLegacyEntryReadAndRewritten(t *testing.T) {
+// TestOpenRemovesV1Entries: an entry file in the retired v1 JSON
+// container is removed on Open and never counted.
+func TestOpenRemovesV1Entries(t *testing.T) {
 	dir := t.TempDir()
-	k := Key("fp", "src")
-	payload := []byte(`{"old":"format"}`)
-	legacy, err := json.Marshal(fileEntry{
-		Schema: entrySchema, Key: k, Sum: payloadSum(payload), Payload: payload,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	jsonPath := filepath.Join(dir, k+legacyExt)
-	if err := os.WriteFile(jsonPath, legacy, 0o644); err != nil {
+	v1Path := filepath.Join(dir, Key("fp", "src")+v1Ext)
+	if err := os.WriteFile(v1Path, []byte(`{"schema":"gvnd-store/v1"}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	s, err := Open(dir, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, ok := s.Get(k)
-	if !ok || string(got) != string(payload) {
-		t.Fatalf("legacy entry: Get = %q, %v", got, ok)
+	if _, err := os.Stat(v1Path); !os.IsNotExist(err) {
+		t.Fatal("v1 entry not removed on open")
 	}
-	if err := s.Put(k, payload); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(jsonPath); !os.IsNotExist(err) {
-		t.Fatal("legacy file not removed after v2 rewrite")
-	}
-	if _, err := os.Stat(filepath.Join(dir, k+entryExt)); err != nil {
-		t.Fatalf("v2 entry missing after rewrite: %v", err)
-	}
-	if got, ok := s.Get(k); !ok || string(got) != string(payload) {
-		t.Fatalf("rewritten entry: Get = %q, %v", got, ok)
-	}
-}
-
-// TestBinaryEntrySmallerThanLegacy pins the v2 container's reason to
-// exist: no base64 inflation, no JSON wrapper, raw checksum.
-func TestBinaryEntrySmallerThanLegacy(t *testing.T) {
-	k := Key("fp", "src")
-	payload := []byte(`{"text":"` + strings.Repeat("x", 4096) + `"}`)
-	v1, err := json.Marshal(fileEntry{
-		Schema: entrySchema, Key: k, Sum: payloadSum(payload), Payload: payload,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	v2 := encodeEntry(k, payload)
-	if len(v2) >= len(v1) {
-		t.Fatalf("v2 entry (%d bytes) not smaller than v1 (%d bytes)", len(v2), len(v1))
+	if st := s.Stats(); st.Entries != 0 || st.Bytes != 0 {
+		t.Fatalf("v1 entry counted: %d entries, %d bytes", st.Entries, st.Bytes)
 	}
 }
 
