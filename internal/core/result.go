@@ -4,9 +4,11 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync"
 
 	"pgvn/internal/expr"
 	"pgvn/internal/ir"
+	"pgvn/internal/slab"
 )
 
 // Result holds the outcome of global value numbering: reachability of
@@ -29,6 +31,65 @@ type Result struct {
 	blockPred  []*expr.Expr
 	edgePred   map[*ir.Edge]*expr.Expr
 	canonical  [][]*ir.Edge
+	slabs      *slabs
+}
+
+// slabs is the chunk set of one analysis: the expression universe's node
+// and payload chunks and the congruence classes' class and member chunks.
+// A Result owns its set until Release zeroes it and puts it in slabPool,
+// from which the next analysis carves.
+type slabs struct {
+	expr    expr.Slabs
+	classes slab.Chunks[class]
+	members slab.Chunks[ir.InstrID]
+}
+
+// slabPool holds chunk sets released Results returned: capacity only,
+// every chunk cleared whole (DESIGN §17).
+var slabPool sync.Pool
+
+// exprSet, classSet and memberSet return s's chunk sets, nil when s is.
+func (s *slabs) exprSet() *expr.Slabs {
+	if s == nil {
+		return nil
+	}
+	return &s.expr
+}
+
+func (s *slabs) classSet() *slab.Chunks[class] {
+	if s == nil {
+		return nil
+	}
+	return &s.classes
+}
+
+func (s *slabs) memberSet() *slab.Chunks[ir.InstrID] {
+	if s == nil {
+		return nil
+	}
+	return &s.members
+}
+
+// Release declares r finished: the universe's node, argument, term and
+// factor chunks and the class and member chunks its run carved go back,
+// cleared, to one pool for the next run. Every field of r is dropped, so
+// a query after Release panics rather than read recycled memory. Nothing
+// derived from r — its predicates, class expressions, a Partition — may
+// be used afterwards. A run that took no chunk set from the pool (the
+// pool starts empty) recorded nothing; releasing it leaves an empty set
+// in the pool instead, so the runs after it recycle. Callers that never
+// release lose nothing: their chunks are ordinary garbage.
+func (r *Result) Release() {
+	s := r.slabs
+	*r = Result{}
+	if s == nil {
+		s = &slabs{}
+	} else {
+		s.expr.Clear()
+		s.classes.Clear()
+		s.members.Clear()
+	}
+	slabPool.Put(s)
 }
 
 // result packages the analysis state. The fixpoint stores per-edge state
@@ -84,6 +145,7 @@ func (a *analysis) result() *Result {
 		blockPred:  a.blockPred,
 		edgePred:   edgePred,
 		canonical:  canonical,
+		slabs:      a.slabs,
 	}
 }
 
@@ -91,12 +153,23 @@ func (a *analysis) result() *Result {
 func (r *Result) BlockReachable(b *ir.Block) bool { return r.blockReach[b.ID] }
 
 // EdgeReachable reports whether the analysis proved e reachable.
-func (r *Result) EdgeReachable(e *ir.Edge) bool { return r.edgeReach[e] }
+func (r *Result) EdgeReachable(e *ir.Edge) bool {
+	if r.edgeReach == nil {
+		panic(errReleased)
+	}
+	return r.edgeReach[e]
+}
+
+// errReleased is what a query on a released Result panics with.
+const errReleased = "core: query on a released Result"
 
 // class returns v's congruence class, or nil for undetermined values and
 // for instructions created after the analysis ran.
 func (r *Result) class(v *ir.Instr) *class {
 	if v.ID >= len(r.classOf) {
+		if r.classOf == nil {
+			panic(errReleased)
+		}
 		return nil
 	}
 	return r.classOf[v.ID]
@@ -290,6 +363,9 @@ func (r *Result) PredicateInfo(b *ir.Block) (*expr.Expr, []*ir.Edge) {
 // EdgePredicate returns the predicate of edge e rendered over value names,
 // or "" when the edge carries none (§2.7).
 func (r *Result) EdgePredicate(e *ir.Edge) string {
+	if r.edgePred == nil {
+		panic(errReleased)
+	}
 	p := r.edgePred[e]
 	if p == nil {
 		return ""

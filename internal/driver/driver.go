@@ -18,7 +18,10 @@
 //     key, so checked and unchecked results never mix.
 //
 // Input routines are never mutated: every worker builds the SSA form of
-// its routine as a new routine (ssa.BuildFrom) and works on that.
+// its routine as a new routine (ssa.BuildFrom) and works on that. Once a
+// routine's text and report are taken, the worker releases that SSA
+// routine and its analysis Result, so their storage serves the next
+// routine instead of the garbage collector.
 package driver
 
 import (
@@ -425,6 +428,12 @@ func (d *Driver) one(parent *obs.Span, idx int, r *ir.Routine) (rr RoutineResult
 	if d.cfg.Cache != nil {
 		d.cfg.Cache.store(key, rr.Text, rr.Report)
 	}
+	// Text and Report are copies: the SSA routine, the Result and the
+	// expression universe behind it are dead, so their storage goes back
+	// to the pools for the next routine. Failed routines skip this and
+	// leave theirs to the collector.
+	res.Release()
+	work.Release()
 	return rr
 }
 

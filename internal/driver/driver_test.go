@@ -9,6 +9,8 @@ import (
 
 	"pgvn/internal/core"
 	"pgvn/internal/ir"
+	"pgvn/internal/opt"
+	"pgvn/internal/ssa"
 	"pgvn/internal/workload"
 )
 
@@ -50,6 +52,45 @@ func TestParallelMatchesSequential(t *testing.T) {
 		s, p := seq.Results[i], par.Results[i]
 		if s.Name != p.Name || s.Text != p.Text || s.Report != p.Report {
 			t.Fatalf("routine %d (%s): parallel result differs from sequential", i, s.Name)
+		}
+	}
+}
+
+// TestRecycledBatchesMatchFresh: the driver releases every finished
+// routine's SSA form and analysis Result, so later routines carve from
+// recycled memory. Recycling must change no byte: a Jobs: 1 batch and
+// two Jobs: 4 batches in a row, the second over pools the first filled,
+// all equal the pipeline run routine by routine with nothing released.
+// PRE is on, so the optimizer also grows the recycled routines.
+func TestRecycledBatchesMatchFresh(t *testing.T) {
+	routines := corpusRoutines(t, 0.5)
+	cfg := Config{Core: core.DefaultConfig(), PRE: true}
+	want := make([]string, len(routines))
+	for i, r := range routines {
+		work, err := ssa.BuildFrom(r, cfg.Placement)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := core.Run(work, cfg.Core)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := opt.ApplyWith(res, opt.Options{PRE: true}); err != nil {
+			t.Fatal(err)
+		}
+		want[i] = work.String()
+	}
+	for _, jobs := range []int{1, 4, 4} {
+		cfg.Jobs = jobs
+		b := New(cfg).Run(context.Background(), routines)
+		if err := b.Err(); err != nil {
+			t.Fatal(err)
+		}
+		for i, rr := range b.Results {
+			if rr.Text != want[i] {
+				t.Fatalf("Jobs: %d, routine %d (%s): output differs from the unreleased pipeline",
+					jobs, i, rr.Name)
+			}
 		}
 	}
 }

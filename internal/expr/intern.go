@@ -1,6 +1,9 @@
 package expr
 
-import "pgvn/internal/ir"
+import (
+	"pgvn/internal/ir"
+	"pgvn/internal/slab"
+)
 
 // This file implements hash-consing for expressions. An Interner owns a
 // universe of canonical *Expr nodes: structurally equal expressions intern
@@ -142,8 +145,9 @@ type Interner struct {
 	// an intern miss costs a slab advance instead of two heap objects.
 	// Every chunk belongs to one universe: Reset and Release drop the
 	// slabs, so a chunk is only ever pinned by the results of the routine
-	// that carved it. A slab is nil until its universe carves the first
-	// chunk, whose length (the *Chunk field) Reset sets from its hint.
+	// that carved it, or by the Slabs that universe recorded its chunks
+	// in. A slab is nil until its universe carves the first chunk, whose
+	// length (the *Chunk field) Reset sets from its hint.
 	nodes     []Expr
 	nodeChunk int
 	argSlab   []*Expr
@@ -152,6 +156,32 @@ type Interner struct {
 	termChunk int
 	facSlab   []ValueRef
 	facChunk  int
+
+	// The chunk sets of the Slabs passed to Reset, nil without one.
+	nodeSet *slab.Chunks[Expr]
+	argSet  *slab.Chunks[*Expr]
+	termSet *slab.Chunks[Term]
+	facSet  *slab.Chunks[ValueRef]
+}
+
+// Slabs records every chunk one universe carves its nodes and their
+// payloads from, and keeps spare chunks for the next universe that
+// carves through it. Whoever owns the universe's nodes decides when they
+// are dead: Clear then zeroes the chunks, whole, for reuse.
+type Slabs struct {
+	nodes slab.Chunks[Expr]
+	args  slab.Chunks[*Expr]
+	terms slab.Chunks[Term]
+	facs  slab.Chunks[ValueRef]
+}
+
+// Clear zeroes every chunk a universe carved through s and makes it
+// spare. Every node carved from s is invalid afterwards.
+func (s *Slabs) Clear() {
+	s.nodes.Clear()
+	s.args.Clear()
+	s.terms.Clear()
+	s.facs.Clear()
 }
 
 // Slab chunk bounds, in elements. Over the SPEC-shaped corpus a routine
@@ -181,8 +211,7 @@ func chunkLen(slabNil bool, first, lo, need int) int {
 //pgvn:hotpath
 func (in *Interner) newNode() *Expr {
 	if len(in.nodes) == 0 {
-		//pgvn:allow hotpathalloc: slab refill, amortized over the chunk
-		in.nodes = make([]Expr, chunkLen(in.nodes == nil, in.nodeChunk, minNodeChunk, 1))
+		in.nodes = in.nodeSet.Next(chunkLen(in.nodes == nil, in.nodeChunk, minNodeChunk, 1), 1)
 	}
 	e := &in.nodes[0]
 	in.nodes = in.nodes[1:]
@@ -194,8 +223,7 @@ func (in *Interner) newNode() *Expr {
 //pgvn:hotpath
 func (in *Interner) argAlloc(n int) []*Expr {
 	if len(in.argSlab) < n {
-		//pgvn:allow hotpathalloc: slab refill, amortized over the chunk
-		in.argSlab = make([]*Expr, chunkLen(in.argSlab == nil, in.argChunk, minArgChunk, n))
+		in.argSlab = in.argSet.Next(chunkLen(in.argSlab == nil, in.argChunk, minArgChunk, n), n)
 	}
 	s := in.argSlab[:n:n]
 	in.argSlab = in.argSlab[n:]
@@ -205,8 +233,7 @@ func (in *Interner) argAlloc(n int) []*Expr {
 // termAlloc carves a fixed-capacity canonical Terms slice of length n.
 func (in *Interner) termAlloc(n int) []Term {
 	if len(in.termSlab) < n {
-		//pgvn:allow hotpathalloc: slab refill, amortized over the chunk
-		in.termSlab = make([]Term, chunkLen(in.termSlab == nil, in.termChunk, minTermChunk, n))
+		in.termSlab = in.termSet.Next(chunkLen(in.termSlab == nil, in.termChunk, minTermChunk, n), n)
 	}
 	s := in.termSlab[:n:n]
 	in.termSlab = in.termSlab[n:]
@@ -216,8 +243,7 @@ func (in *Interner) termAlloc(n int) []Term {
 // facAlloc carves a fixed-capacity canonical Factors slice of length n.
 func (in *Interner) facAlloc(n int) []ValueRef {
 	if len(in.facSlab) < n {
-		//pgvn:allow hotpathalloc: slab refill, amortized over the chunk
-		in.facSlab = make([]ValueRef, chunkLen(in.facSlab == nil, in.facChunk, minFacChunk, n))
+		in.facSlab = in.facSet.Next(chunkLen(in.facSlab == nil, in.facChunk, minFacChunk, n), n)
 	}
 	s := in.facSlab[:n:n]
 	in.facSlab = in.facSlab[n:]
@@ -225,10 +251,10 @@ func (in *Interner) facAlloc(n int) []ValueRef {
 }
 
 // NewInterner returns an empty universe sized for roughly hint distinct
-// expressions (e.g. an instruction count).
+// expressions (e.g. an instruction count), carving plain chunks.
 func NewInterner(hint int) *Interner {
 	in := &Interner{}
-	in.Reset(hint)
+	in.Reset(hint, nil)
 	return in
 }
 
@@ -238,14 +264,17 @@ func (in *Interner) Size() int { return in.count }
 
 // Reset empties the universe for reuse on a new routine, keeping the
 // bucket table and scratch arenas warm (resized for roughly hint distinct
-// expressions) and starting fresh slab chunks sized from hint. Nodes
-// interned before the reset stay valid — results retain them, with the
-// chunks they were carved from — but they are no longer canonical in
-// this universe, so a caller must never mix pre- and post-reset nodes in
-// one analysis. The table shrinks when the previous routine left it more
-// than 4× oversized, so one giant routine does not tax every later small
-// one with clearing costs.
-func (in *Interner) Reset(hint int) {
+// expressions) and starting fresh slab chunks sized from hint. The new
+// universe carves its chunks through s, taking s's spare chunks first and
+// recording every chunk in s; with a nil s the chunks are plain
+// allocations. Nodes interned before the reset stay valid until their
+// owner clears the Slabs they were carved through — results retain
+// them, with the chunks they were carved from — but they are no longer
+// canonical in this universe, so a caller must never mix pre- and
+// post-reset nodes in one analysis. The table shrinks when the previous
+// routine left it more than 4× oversized, so one giant routine does not
+// tax every later small one with clearing costs.
+func (in *Interner) Reset(hint int, s *Slabs) {
 	in.Release()
 	need := 64
 	for need*3 < hint*4 { // initial load ≤ 3/4
@@ -258,12 +287,16 @@ func (in *Interner) Reset(hint int) {
 	in.argChunk = min(max(hint/6, minArgChunk), maxArgChunk)
 	in.termChunk = min(max(hint/8, minTermChunk), maxTermChunk)
 	in.facChunk = min(max(hint/10, minFacChunk), maxFacChunk)
+	if s != nil {
+		in.nodeSet, in.argSet, in.termSet, in.facSet = &s.nodes, &s.args, &s.terms, &s.facs
+	}
 }
 
 // Release empties the universe and drops every pointer into it, keeping
 // only capacity: the bucket table and the pointer-bearing scratch arenas
-// are cleared and the slab chunks are let go. An Interner parked in a
-// pool after Release pins nothing of the routine it last served.
+// are cleared, and the slab chunks and the Slabs they were recorded in
+// are let go. An Interner parked in a pool after Release pins nothing of
+// the routine it last served.
 func (in *Interner) Release() {
 	if in.count > 0 {
 		clear(in.tab)
@@ -273,6 +306,7 @@ func (in *Interner) Release() {
 	clear(in.flat[:cap(in.flat)])
 	in.terms, in.factors, in.flat = in.terms[:0], in.factors[:0], in.flat[:0]
 	in.nodes, in.argSlab, in.termSlab, in.facSlab = nil, nil, nil, nil
+	in.nodeSet, in.argSet, in.termSet, in.facSet = nil, nil, nil, nil
 }
 
 func (in *Interner) bucket(h uint64) *Expr {

@@ -2,6 +2,7 @@ package expr
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"pgvn/internal/ir"
@@ -356,7 +357,7 @@ func TestResetStartsFreshUniverse(t *testing.T) {
 		if release {
 			in.Release()
 		}
-		in.Reset(0)
+		in.Reset(0, nil)
 		if in.Size() != 0 {
 			t.Fatalf("Size after Reset = %d, want 0", in.Size())
 		}
@@ -385,4 +386,68 @@ func TestResetStartsFreshUniverse(t *testing.T) {
 // every universe shares.
 func isShared(e *Expr) bool {
 	return e == Bot || (e.Kind == Const && e.C >= -128 && e.C <= 1024)
+}
+
+// TestSlabsClearZeroesChunks holds Slabs to DESIGN §17. A universe
+// carved through a Slabs records every chunk in it; a released Interner
+// keeps no reference to the set; Clear zeroes every chunk whole, so a
+// pooled set pins nothing of the universe; and the same universe carved
+// again through the cleared set takes all its chunks from the spares.
+func TestSlabsClearZeroesChunks(t *testing.T) {
+	s := &Slabs{}
+	in := NewInterner(0)
+	carve := func() [4]int {
+		r := rand.New(rand.NewSource(5))
+		in.Reset(0, s)
+		for range 2000 {
+			in.Canon(randExpr(r, 3))
+			// Sums of products, for the term and factor chunks.
+			x, y := r.Intn(40), r.Intn(40)
+			a, b := in.Value(x, x+1), in.Value(y, y+1)
+			in.Mul(in.Add(a, b, 16), in.Add(b, in.Const(int64(x)), 16), 16)
+		}
+		return [4]int{s.nodes.Len(), s.args.Len(), s.terms.Len(), s.facs.Len()}
+	}
+	first := carve()
+	for k, n := range first {
+		if n == 0 {
+			t.Fatalf("slab kind %d recorded no chunk", k)
+		}
+	}
+	in.Release()
+	if in.nodeSet != nil || in.argSet != nil || in.termSet != nil || in.facSet != nil {
+		t.Fatal("a released Interner still carves through its Slabs")
+	}
+	s.Clear()
+	s.nodes.Each(func(chunk []Expr) {
+		for k := range chunk {
+			if !reflect.ValueOf(&chunk[k]).Elem().IsZero() {
+				t.Fatalf("a cleared node chunk holds %s at %d", chunk[k].Key(), k)
+			}
+		}
+	})
+	s.args.Each(func(chunk []*Expr) {
+		for k, e := range chunk {
+			if e != nil {
+				t.Fatalf("a cleared argument chunk holds %s at %d", e.Key(), k)
+			}
+		}
+	})
+	s.terms.Each(func(chunk []Term) {
+		for k := range chunk {
+			if chunk[k].Coeff != 0 || chunk[k].Factors != nil {
+				t.Fatalf("a cleared term chunk holds %+v at %d", chunk[k], k)
+			}
+		}
+	})
+	s.facs.Each(func(chunk []ValueRef) {
+		for k, f := range chunk {
+			if f != (ValueRef{}) {
+				t.Fatalf("a cleared factor chunk holds %+v at %d", f, k)
+			}
+		}
+	})
+	if again := carve(); again != first {
+		t.Fatalf("carving the same universe again grew the chunk counts from %v to %v", first, again)
+	}
 }

@@ -380,6 +380,10 @@ type Routine struct {
 	argSlab    []*Instr
 	instrChunk int
 	argChunk   int
+
+	// store is the storage MaterializeSSA carved the routine from, which
+	// Release recycles; nil for every other routine.
+	store *ssaStore
 }
 
 // NewRoutine creates an empty routine with an entry block named "entry".

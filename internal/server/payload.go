@@ -44,17 +44,48 @@ func encodePayload(body []byte) []byte {
 	return out
 }
 
+// gunzipper is one decompressor with the reader it reads a payload
+// through and the buffer it writes the body into. A fresh gzip.Reader
+// allocates about 45 KB of decompressor state, so all three are pooled;
+// the caller gets an exact-size copy of the body.
+type gunzipper struct {
+	zr  gzip.Reader
+	src bytes.Reader
+	lim io.LimitedReader
+	buf bytes.Buffer
+}
+
+// gunzipPool holds capacity only (DESIGN §17): the payload reader is
+// emptied on release, the buffer reset and the decompressor Reset onto
+// the next payload on acquire.
+var gunzipPool = sync.Pool{New: func() any { return &gunzipper{} }}
+
 // decodePayload returns the response body a cache payload holds.
 // ok=false — malformed gzip, a failed CRC-32 or length check, or a body
 // past cluster.MaxPayloadBytes — means the caller treats it as a miss.
 func decodePayload(data []byte) ([]byte, bool) {
-	zr, err := gzip.NewReader(bytes.NewReader(data))
-	if err != nil {
+	g := gunzipPool.Get().(*gunzipper)
+	body, ok := g.decode(data)
+	g.release()
+	return body, ok
+}
+
+// decode gunzips data into g's buffer and returns an exact-size copy.
+func (g *gunzipper) decode(data []byte) ([]byte, bool) {
+	g.src.Reset(data)
+	if err := g.zr.Reset(&g.src); err != nil {
 		return nil, false
 	}
-	body, err := io.ReadAll(io.LimitReader(zr, cluster.MaxPayloadBytes+1))
-	if err != nil || len(body) > cluster.MaxPayloadBytes {
+	g.lim = io.LimitedReader{R: &g.zr, N: cluster.MaxPayloadBytes + 1}
+	g.buf.Reset()
+	if _, err := g.buf.ReadFrom(&g.lim); err != nil || g.buf.Len() > cluster.MaxPayloadBytes {
 		return nil, false
 	}
-	return body, true
+	return bytes.Clone(g.buf.Bytes()), true
+}
+
+// release empties g's payload reader and returns g to the pool.
+func (g *gunzipper) release() {
+	g.src.Reset(nil)
+	gunzipPool.Put(g)
 }
