@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet fmt-check fmt lint race bench bench-smoke bench-compare check serve loadtest fleet pre
+.PHONY: all build test vet fmt-check fmt lint race bench bench-smoke check serve loadtest fleet pre
 
 all: check
 
@@ -22,9 +22,9 @@ fmt:
 	gofmt -w .
 
 # lint runs go vet plus gvnlint, the repo's own static-analysis suite
-# (internal/analysis): five analyzers enforcing the performance and
-# concurrency invariants prior passes bought. Any unsuppressed finding
-# fails the target.
+# (internal/analysis): six analyzers enforcing the performance and
+# concurrency invariants prior passes bought and that every function
+# runs. Any unsuppressed finding fails the target.
 lint: vet
 	$(GO) run ./cmd/gvnlint ./...
 
@@ -41,33 +41,6 @@ bench:
 # would otherwise only surface when the benchmark runs (~6 s).
 bench-smoke:
 	cd bench && $(GO) vet . && $(GO) test .
-
-# bench-compare benchmarks the working tree against another git ref
-# (BASE, default HEAD~1): it checks BASE out into a temporary worktree,
-# runs the selected benchmarks (BENCH regex; COUNT runs of BENCHTIME
-# iterations each, -benchmem) in both trees, and prints a
-# benchstat-style table of mean ns/op and allocs/op with deltas
-# (scripts/benchdiff.awk). Needs only git, go and awk.
-#
-#   make bench-compare                      # vs HEAD~1, fixpoint benches
-#   make bench-compare BASE=v0.1 BENCH=.    # vs a tag, all benches
-BASE ?= HEAD~1
-BENCH ?= BenchmarkGVN
-BENCHTIME ?= 50x
-COUNT ?= 3
-
-bench-compare:
-	@set -e; tmp=$$(mktemp -d); \
-	cleanup() { git worktree remove --force "$$tmp/base" 2>/dev/null; rm -rf "$$tmp"; }; \
-	trap cleanup EXIT; \
-	git worktree add -q "$$tmp/base" "$(BASE)"; \
-	echo "== benchmarking $(BASE)"; \
-	( cd "$$tmp/base" && $(GO) test -run '^$$' -bench '$(BENCH)' \
-		-benchtime $(BENCHTIME) -benchmem -count $(COUNT) . ) > "$$tmp/base.txt"; \
-	echo "== benchmarking working tree"; \
-	$(GO) test -run '^$$' -bench '$(BENCH)' \
-		-benchtime $(BENCHTIME) -benchmem -count $(COUNT) . > "$$tmp/head.txt"; \
-	awk -f scripts/benchdiff.awk "$$tmp/base.txt" "$$tmp/head.txt"
 
 # serve boots the optimization daemon with a warm disk store under
 # ./gvnd-store; loadtest drives a running daemon open-loop and writes a

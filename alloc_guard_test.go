@@ -286,10 +286,11 @@ func TestAnalysisHeapBounded(t *testing.T) {
 		before := liveHeap()
 		for range k {
 			for _, src := range units {
-				batch, err := d.RunSource(context.Background(), src)
+				unit, err := parser.Parse(src)
 				if err != nil {
 					t.Fatal(err)
 				}
+				batch := d.Run(context.Background(), unit)
 				if err := batch.Err(); err != nil {
 					t.Fatal(err)
 				}

@@ -21,7 +21,6 @@ import (
 	"os"
 	"runtime"
 	"strconv"
-	"strings"
 	"time"
 
 	"pgvn/internal/check"
@@ -50,18 +49,6 @@ func main() {
 		httpAddr   = flag.String("http", "", "serve /metrics, /progress and /debug/pprof on this address while running")
 		traceFlag  = flag.String("trace", "", "write the figure/stats event streams as Chrome trace_event JSON to this file (timing sweeps stay untraced)")
 	)
-	// Extra meta entries for the snapshot: scripts/benchsnap.sh folds
-	// externally measured numbers (the Go benchmark's ns/op) into the
-	// committed BENCH_<ts>.json so CI can jq-gate against them.
-	extraMeta := map[string]string{}
-	flag.Func("meta", "extra key=value for the snapshot meta block (repeatable; implies -json)", func(s string) error {
-		k, v, ok := strings.Cut(s, "=")
-		if !ok || k == "" {
-			return fmt.Errorf("-meta wants key=value, got %q", s)
-		}
-		extraMeta[k] = v
-		return nil
-	})
 	flag.Parse()
 	if !*all && *table == 0 && *figure == 0 && !*stats {
 		*all = true
@@ -78,7 +65,7 @@ func main() {
 	if *pre {
 		fmt.Println("optimizer: GVN-PRE enabled inside the timed pipeline")
 	}
-	if *metricsOut != "" || len(extraMeta) > 0 {
+	if *metricsOut != "" {
 		*jsonOut = true
 	}
 	var reg *obs.Registry
@@ -210,9 +197,6 @@ func main() {
 			"cmd":      "gvnbench",
 			"scale":    strconv.FormatFloat(*scale, 'f', -1, 64),
 			"routines": strconv.Itoa(n),
-		}
-		for k, v := range extraMeta {
-			meta[k] = v
 		}
 		if err := writeSnapshot(path, reg, meta); err != nil {
 			fail(err)

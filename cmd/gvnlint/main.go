@@ -1,8 +1,9 @@
 // Command gvnlint runs the repository's own static-analysis suite
-// (internal/analysis): five analyzers that enforce the performance and
-// concurrency invariants prior optimization passes bought — see the
-// package documentation of internal/analysis for the invariant each
-// pass encodes.
+// (internal/analysis): six analyzers that enforce the performance and
+// concurrency invariants prior optimization passes bought, and that
+// every function in the build is reachable — see the package
+// documentation of internal/analysis for the invariant each pass
+// encodes.
 //
 // Usage:
 //

@@ -2,9 +2,9 @@
 // harness (go/parser + go/types, driven by `go list`) that enforces the
 // repository's performance and concurrency invariants at compile time.
 //
-// The invariants it encodes were each bought by a prior optimization or
-// hardening pass and are otherwise guarded only by runtime tests, which
-// catch regressions late and probabilistically:
+// Its six analyzers encode invariants that a prior optimization or
+// hardening pass bought, or that keep the build to code that runs, and
+// that runtime tests alone would guard late and probabilistically:
 //
 //   - hotpathalloc: functions annotated //pgvn:hotpath — and everything
 //     they statically call inside the module — stay free of the
@@ -22,6 +22,10 @@
 //   - metricname: metric names registered with internal/obs are
 //     compile-time constants in the pgvn-metrics/v5 grammar, so
 //     snapshot schemas cannot drift at runtime.
+//   - unreachable: every function and method of the non-test build is
+//     reachable from main, init, the root package's exports, a
+//     package-level initialiser or an interface method name, so the
+//     build ships only code that runs.
 //
 // A finding is suppressed by a `//pgvn:allow <analyzer>` comment on the
 // offending line, the line above it, or the doc comment of the
@@ -62,6 +66,7 @@ func All() []*Analyzer {
 		CtxFlow,
 		LockScope,
 		MetricName,
+		Unreachable,
 	}
 }
 
@@ -120,9 +125,6 @@ type Pass struct {
 
 	findings []Finding
 }
-
-// Fset returns the module-wide file set.
-func (p *Pass) Fset() *token.FileSet { return p.Mod.Fset }
 
 // Reportf records a finding at n. The enclosing function declaration,
 // when any, scopes declaration-level suppression comments.

@@ -117,6 +117,7 @@ func TestTracerGuardFixture(t *testing.T)  { runFixture(t, TracerGuard) }
 func TestCtxFlowFixture(t *testing.T)      { runFixture(t, CtxFlow) }
 func TestLockScopeFixture(t *testing.T)    { runFixture(t, LockScope) }
 func TestMetricNameFixture(t *testing.T)   { runFixture(t, MetricName) }
+func TestUnreachableFixture(t *testing.T)  { runFixture(t, Unreachable) }
 
 // TestSelfLint runs the full suite over the repository itself: the tree
 // must stay clean, because CI's lint job fails on any finding. Skipped

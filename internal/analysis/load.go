@@ -37,7 +37,7 @@ type Package struct {
 // Module is the analyzed module: every package matched by the load
 // patterns, type-checked against one shared file set, plus the lazily
 // built whole-module facts the analyzers share (call graph, hot-path
-// closure, I/O taint, nil-safe obs API).
+// closure, I/O taint, nil-safe obs API, reachable functions).
 type Module struct {
 	// Fset positions every parsed file.
 	Fset *token.FileSet
@@ -59,6 +59,12 @@ type Module struct {
 
 	nilSafeOnce sync.Once
 	nilSafe     map[*types.Named]map[string]bool
+
+	// root is the module's root package (the library API), nil when the
+	// load does not include it.
+	root      *Package
+	reachOnce sync.Once
+	reachable map[*types.Func]bool
 }
 
 // listPkg is the slice of `go list -json` output the loader consumes.
@@ -70,6 +76,7 @@ type listPkg struct {
 	Export     string
 	Standard   bool
 	DepOnly    bool
+	Module     *struct{ Path string }
 	Error      *struct{ Err string }
 }
 
@@ -91,7 +98,7 @@ func Load(dir string, patterns ...string) (*Module, error) {
 		patterns = []string{"./..."}
 	}
 	args := []string{"list", "-deps", "-export",
-		"-json=ImportPath,Dir,Name,GoFiles,Export,Standard,DepOnly,Error"}
+		"-json=ImportPath,Dir,Name,GoFiles,Export,Standard,DepOnly,Module,Error"}
 	args = append(args, patterns...)
 	cmd := exec.Command("go", args...)
 	cmd.Dir = dir
@@ -172,6 +179,9 @@ func Load(dir string, patterns ...string) (*Module, error) {
 		checked[lp.ImportPath] = tp
 		m.Pkgs = append(m.Pkgs, pkg)
 		m.byPath[lp.ImportPath] = pkg
+		if lp.Module != nil && lp.Module.Path == lp.ImportPath {
+			m.root = pkg
+		}
 	}
 	return m, nil
 }

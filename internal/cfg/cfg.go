@@ -1,6 +1,6 @@
 // Package cfg provides control-flow-graph analyses over ir routines:
-// reverse post order numbering, RPO back-edge identification, reachability
-// and the loop connectedness bound used in the paper's complexity analysis.
+// reverse post order numbering, RPO back-edge identification and
+// reachability.
 package cfg
 
 import (
@@ -114,9 +114,6 @@ func (o *Order) Release() {
 	orderPool.Put(o)
 }
 
-// RPO returns the RPO number of b, or -1 if b is statically unreachable.
-func (o *Order) RPO(b *ir.Block) int { return o.Number[b.ID] }
-
 // Reachable reports whether b is reachable from the entry block.
 func (o *Order) Reachable(b *ir.Block) bool { return o.Number[b.ID] >= 0 }
 
@@ -127,86 +124,4 @@ func (o *Order) Reachable(b *ir.Block) bool { return o.Number[b.ID] >= 0 }
 func (o *Order) IsBackEdge(e *ir.Edge) bool {
 	f, t := o.Number[e.From.ID], o.Number[e.To.ID]
 	return f >= 0 && t >= 0 && t <= f
-}
-
-// BackEdges returns the routine's RPO back edges (the paper's BACKWARD set)
-// in deterministic order.
-func (o *Order) BackEdges() []*ir.Edge {
-	var edges []*ir.Edge
-	for _, b := range o.Blocks {
-		for _, e := range b.Succs {
-			if o.IsBackEdge(e) {
-				edges = append(edges, e)
-			}
-		}
-	}
-	return edges
-}
-
-// HasLoops reports whether the routine has any RPO back edge.
-func (o *Order) HasLoops() bool {
-	for _, b := range o.Blocks {
-		for _, e := range b.Succs {
-			if o.IsBackEdge(e) {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-// LoopConnectedness returns the loop connectedness of the CFG: the maximum
-// number of back edges on any acyclic path, the C in the paper's
-// O(C·E²·(E+I)) bound. For reducible CFGs — the only kind our front ends
-// produce — this equals the maximum natural-loop nesting depth, which is
-// what this function computes: for every RPO back edge n→h the loop body is
-// {h} plus every block that reaches n without passing through h, and the
-// connectedness is the maximum number of such bodies any block belongs to.
-func (o *Order) LoopConnectedness() int {
-	depth := make(map[*ir.Block]int)
-	for _, b := range o.Blocks {
-		for _, e := range b.Succs {
-			if !o.IsBackEdge(e) {
-				continue
-			}
-			for _, member := range NaturalLoop(e) {
-				depth[member]++
-			}
-		}
-	}
-	max := 0
-	for _, d := range depth {
-		if d > max {
-			max = d
-		}
-	}
-	return max
-}
-
-// NaturalLoop returns the body of the natural loop of back edge e = n→h:
-// h together with all blocks that can reach n without passing through h.
-// The result is in deterministic (discovery) order, starting with h.
-func NaturalLoop(e *ir.Edge) []*ir.Block {
-	h, n := e.To, e.From
-	body := []*ir.Block{h}
-	seen := map[*ir.Block]bool{h: true}
-	stack := []*ir.Block{}
-	if !seen[n] {
-		seen[n] = true
-		body = append(body, n)
-		stack = append(stack, n)
-	}
-	for len(stack) > 0 {
-		b := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, pe := range b.Preds {
-			p := pe.From
-			if !seen[p] {
-				seen[p] = true
-				body = append(body, p)
-				stack = append(stack, p)
-			}
-		}
-	}
-	return body
 }

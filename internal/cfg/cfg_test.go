@@ -61,7 +61,7 @@ func TestReversePostOrder(t *testing.T) {
 	if len(o.Blocks) != 7 {
 		t.Fatalf("got %d blocks in RPO, want 7", len(o.Blocks))
 	}
-	if o.Blocks[0] != r.Entry() || o.RPO(r.Entry()) != 0 {
+	if o.Blocks[0] != r.Entry() || o.Number[r.Entry().ID] != 0 {
 		t.Fatalf("entry not first in RPO")
 	}
 	// Every edge except the back edge must go from lower to higher RPO.
@@ -73,19 +73,13 @@ func TestReversePostOrder(t *testing.T) {
 				}
 				continue
 			}
-			if o.RPO(e.From) >= o.RPO(e.To) {
-				t.Errorf("forward edge %v has RPO %d >= %d", e, o.RPO(e.From), o.RPO(e.To))
+			if o.Number[e.From.ID] >= o.Number[e.To.ID] {
+				t.Errorf("forward edge %v has RPO %d >= %d", e, o.Number[e.From.ID], o.Number[e.To.ID])
 			}
 			if o.IsBackEdge(e) {
 				t.Errorf("edge %v misclassified as back edge", e)
 			}
 		}
-	}
-	if got := len(o.BackEdges()); got != 1 {
-		t.Errorf("BackEdges count = %d, want 1", got)
-	}
-	if !o.HasLoops() {
-		t.Errorf("HasLoops = false, want true")
 	}
 }
 
@@ -105,8 +99,8 @@ out:
 	if o.Reachable(island) {
 		t.Errorf("island reported reachable")
 	}
-	if o.RPO(island) != -1 {
-		t.Errorf("island RPO = %d, want -1", o.RPO(island))
+	if o.Number[island.ID] != -1 {
+		t.Errorf("island RPO = %d, want -1", o.Number[island.ID])
 	}
 	if len(o.Blocks) != 2 {
 		t.Errorf("RPO covers %d blocks, want 2", len(o.Blocks))
@@ -115,78 +109,5 @@ out:
 		if o.IsBackEdge(e) {
 			t.Errorf("edge from unreachable block classified as back edge")
 		}
-	}
-}
-
-func TestLoopConnectednessStraightLine(t *testing.T) {
-	r := parse(t, `
-func h(x) {
-entry:
-  y = x + 1
-  return y
-}
-`)
-	o := cfg.ReversePostOrder(r)
-	if c := o.LoopConnectedness(); c != 0 {
-		t.Errorf("straight-line connectedness = %d, want 0", c)
-	}
-	if o.HasLoops() {
-		t.Errorf("straight-line HasLoops = true")
-	}
-}
-
-func TestLoopConnectednessSingleLoop(t *testing.T) {
-	r := parse(t, loopSrc)
-	o := cfg.ReversePostOrder(r)
-	if c := o.LoopConnectedness(); c != 1 {
-		t.Errorf("single-loop connectedness = %d, want 1", c)
-	}
-}
-
-func TestLoopConnectednessNested(t *testing.T) {
-	r := parse(t, `
-func nest(n) {
-entry:
-  i = 0
-  goto ohead
-ohead:
-  if i < n goto obody else exit
-obody:
-  j = 0
-  goto ihead
-ihead:
-  if j < n goto ibody else olatch
-ibody:
-  j = j + 1
-  goto ihead
-olatch:
-  i = i + 1
-  goto ohead
-exit:
-  return i
-}
-`)
-	o := cfg.ReversePostOrder(r)
-	if c := o.LoopConnectedness(); c != 2 {
-		t.Errorf("nested-loop connectedness = %d, want 2", c)
-	}
-}
-
-func TestNaturalLoop(t *testing.T) {
-	r := parse(t, loopSrc)
-	o := cfg.ReversePostOrder(r)
-	be := o.BackEdges()[0]
-	body := cfg.NaturalLoop(be)
-	names := map[string]bool{}
-	for _, b := range body {
-		names[b.Name] = true
-	}
-	for _, want := range []string{"head", "body", "work", "skip", "latch"} {
-		if !names[want] {
-			t.Errorf("natural loop missing %s (got %v)", want, names)
-		}
-	}
-	if names["entry"] || names["exit"] {
-		t.Errorf("natural loop includes entry/exit: %v", names)
 	}
 }

@@ -91,7 +91,6 @@ func (s bitset) fill() {
 		s[k] = ^uint64(0)
 	}
 }
-func (s bitset) copyFrom(o bitset) { copy(s, o) }
 
 // intersect ands o into s and reports whether s changed.
 func (s bitset) intersect(o bitset) bool {

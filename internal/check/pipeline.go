@@ -69,6 +69,8 @@ func PassSandwich(r *ir.Routine, pass string) *Error {
 // This is the convenience entry the fuzz targets and corpus tests use as
 // their oracle; the driver integrates the same checks stage by stage so
 // violations become per-routine RoutineErrors.
+//
+//pgvn:allow unreachable: the oracle of the fuzz targets and corpus tests in check, opt, parser, server and workload (PipelinePRE with it)
 func Pipeline(r *ir.Routine, cfg core.Config, placement ssa.Placement, level Level) error {
 	return PipelinePRE(r, cfg, placement, level, false)
 }

@@ -198,9 +198,6 @@ func New(cfg Config) (*Cluster, error) {
 // Self returns this node's identity.
 func (c *Cluster) Self() Node { return c.self }
 
-// Ring exposes the routing ring (read-only use).
-func (c *Cluster) Ring() *Ring { return c.ring }
-
 // Owner returns the node currently owning key. ok is false only when
 // the ring is empty, which cannot happen while self is alive.
 func (c *Cluster) Owner(key string) (Node, bool) {
@@ -217,12 +214,6 @@ func (c *Cluster) Owner(key string) (Node, bool) {
 		return ph.node, true
 	}
 	return Node{}, false
-}
-
-// Owns reports whether this node owns key under the current ring.
-func (c *Cluster) Owns(key string) bool {
-	name, ok := c.ring.Owner(key)
-	return ok && name == c.self.Name
 }
 
 // States returns every member's health (self first, then peers by

@@ -111,13 +111,6 @@ func (r *Ring) sortLocked() {
 	})
 }
 
-// Has reports membership.
-func (r *Ring) Has(member string) bool {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return r.members[member]
-}
-
 // Members returns the current members, sorted.
 func (r *Ring) Members() []string {
 	r.mu.RLock()

@@ -8,7 +8,7 @@ import (
 
 // processOutgoingEdges re-evaluates the reachability and predicate of every
 // outgoing edge of block b (paper Figure 5). Edges are addressed by their
-// dense arena ids; index k of SuccEdgeIDs is the edge with OutIndex k.
+// dense arena ids; index k of SuccEdgeIDs is the edge at Succs[k].
 //
 //pgvn:hotpath
 func (a *analysis) processOutgoingEdges(b ir.BlockID) {

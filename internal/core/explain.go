@@ -58,14 +58,6 @@ func (r *Result) Explain(v *ir.Instr) string {
 	return sb.String()
 }
 
-// RenderExpr pretty-prints a symbolic expression with source-level value
-// names instead of internal IDs.
-func (r *Result) RenderExpr(e *expr.Expr) string {
-	var sb strings.Builder
-	r.renderExpr(&sb, e)
-	return sb.String()
-}
-
 // writeName writes the source-level name of value id, falling back to the
 // internal "v<id>" spelling for ids with no surviving instruction.
 func (r *Result) writeName(sb *strings.Builder, id int) {

@@ -18,10 +18,10 @@ type ClassID int
 const NoClass ClassID = -1
 
 // Partition is a stable, read-only view of the congruence partition:
-// dense class ids, per-class leader and canonical defining expression,
-// and class members (globally and per block). It exists so passes
-// outside internal/core — notably internal/opt/pre — can consume the
-// partition without reaching into analysis internals.
+// dense class ids, per-class canonical defining expression and constant,
+// and class members. It exists so passes outside internal/core — notably
+// internal/opt/pre — can consume the partition without reaching into
+// analysis internals.
 //
 // A Partition is a snapshot: it indexes the instructions that existed
 // when Build ran. Instructions created later map to NoClass, and members
@@ -32,8 +32,6 @@ type Partition struct {
 	classOf     []ClassID // by instruction ID; NoClass when undetermined
 	classes     []partClass
 	arena       []*ir.Instr // backing storage the member lists are carved from
-	routine     *ir.Routine
-	inOnce      sync.Once // guards the lazy per-block member index
 }
 
 // partScratch holds Partition-construction state that never escapes the
@@ -51,23 +49,19 @@ var (
 
 // Release returns the Partition's storage to a pool for reuse by a later
 // Partition call. The caller must be the sole owner: the Partition and
-// every slice obtained from it (Members, MembersIn) is unusable
-// afterwards. Releasing is optional — unreleased Partitions are
-// collected normally.
+// every slice obtained from it (Members) is unusable afterwards.
+// Releasing is optional — unreleased Partitions are collected normally.
 func (p *Partition) Release() {
-	p.routine = nil
 	clear(p.arena) // do not pin the routine's instructions from the pool
 	clear(p.classes)
 	partitionPool.Put(p)
 }
 
 type partClass struct {
-	leader    *ir.Instr
-	expr      *expr.Expr // canonical defining expression (may be nil)
-	members   []*ir.Instr
-	constVal  int64
-	isConst   bool
-	membersIn map[int][]*ir.Instr // by block ID; nil until MembersIn is first called
+	expr     *expr.Expr // canonical defining expression (may be nil)
+	members  []*ir.Instr
+	constVal int64
+	isConst  bool
 }
 
 // Partition builds the dense read-only view of r's congruence partition.
@@ -82,8 +76,6 @@ func (r *Result) Partition() *Partition {
 		p = &Partition{}
 	}
 	p.numInstrIDs = r.Routine.NumInstrIDs()
-	p.routine = r.Routine
-	p.inOnce = sync.Once{}
 	if cap(p.classOf) < p.numInstrIDs {
 		p.classOf = make([]ClassID, p.numInstrIDs)
 	}
@@ -133,7 +125,6 @@ func (r *Result) Partition() *Partition {
 	for k, c := range uniq {
 		c.dense = 0
 		pc := &p.classes[k]
-		pc.leader = r.byID[c.leaderVal]
 		pc.expr = c.expr
 		if c.leaderConst != nil {
 			pc.constVal, pc.isConst = c.leaderConst.C, true
@@ -184,10 +175,6 @@ func (p *Partition) ClassOf(v *ir.Instr) ClassID {
 	return p.classOf[v.ID]
 }
 
-// Leader returns the class's representative member (the lowest-ranking
-// member elected by the analysis).
-func (p *Partition) Leader(id ClassID) *ir.Instr { return p.classes[id].leader }
-
 // LeaderExpr returns the class's canonical defining expression, or nil
 // when the analysis recorded none.
 func (p *Partition) LeaderExpr(id ClassID) *expr.Expr { return p.classes[id].expr }
@@ -202,32 +189,3 @@ func (p *Partition) ConstValue(id ClassID) (int64, bool) {
 // Members returns the class's members sorted by instruction ID. The
 // returned slice is shared — callers must not modify it.
 func (p *Partition) Members(id ClassID) []*ir.Instr { return p.classes[id].members }
-
-// MembersIn returns the class's members located in block b, in block
-// order. The returned slice is shared — callers must not modify it.
-// The per-block index is built lazily on first call (the hot consumers
-// — the PRE pass — only need Members, and a map per class was a
-// measurable share of driver batch time); call it before mutating the
-// routine, or the index will reflect the mutated block contents.
-func (p *Partition) MembersIn(id ClassID, b *ir.Block) []*ir.Instr {
-	p.inOnce.Do(p.buildMembersIn)
-	return p.classes[id].membersIn[b.ID]
-}
-
-// buildMembersIn populates the per-block member index with the same
-// traversal Partition used, so slices come out in block order.
-func (p *Partition) buildMembersIn() {
-	for _, b := range p.routine.Blocks {
-		for _, i := range b.Instrs {
-			id := p.ClassOf(i)
-			if id == NoClass {
-				continue
-			}
-			pc := &p.classes[id]
-			if pc.membersIn == nil {
-				pc.membersIn = make(map[int][]*ir.Instr)
-			}
-			pc.membersIn[b.ID] = append(pc.membersIn[b.ID], i)
-		}
-	}
-}

@@ -1,8 +1,12 @@
 package core
 
 import (
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
+
+	"pgvn/internal/obs"
 )
 
 // TestFigure2PredicateOfBlock11 pins the φ-predication internals the
@@ -53,14 +57,51 @@ func TestFigure2PredicateOfBlock11(t *testing.T) {
 	// Edge predicates from the walkthrough: 5→6 carries X = Y (after
 	// canonicalization), and the b14→b15 edge carries Z > 1 in the
 	// normalized form 2 ≤ Z.
+	preds := edgePredicates(t, figure1Source)
 	b5 := blockByName(t, r, "b5")
-	if got := res.EdgePredicate(b5.Succs[0]); !strings.Contains(got, "X") || !strings.Contains(got, "=") {
+	if got := preds[b5.Succs[0].To.Name+"←b5"]; !strings.HasPrefix(got, "eq(") || !strings.Contains(got, "X") {
 		t.Errorf("PREDICATE[5→6] = %q, want an X=Y equality", got)
 	}
-	b14b15 := b14.Succs[0]
-	if got := res.EdgePredicate(b14b15); !strings.Contains(got, "2 ≤ Z") {
-		t.Errorf("PREDICATE[14→15] = %q, want (2 ≤ Z)", got)
+	if got := preds[b14.Succs[0].To.Name+"←b14"]; got != "le(c2,Z)" {
+		t.Errorf("PREDICATE[14→15] = %q, want le(c2,Z), that is 2 ≤ Z", got)
 	}
+}
+
+// edgePredicates analyzes src under a ring tracer and returns each edge's
+// final predicate, keyed "to←from" by block name, as the key of its
+// expression with value ids replaced by value names. The fixpoint emits a
+// KindEdgePred event whenever an edge predicate changes, so the last
+// event per edge holds the predicate the analysis ended with; edges whose
+// predicate ended cleared are left out.
+func edgePredicates(t *testing.T, src string) map[string]string {
+	t.Helper()
+	cfg := DefaultConfig()
+	cfg.Trace = obs.NewTracer(0)
+	res := analyze(t, src, cfg)
+	blocks := make(map[int]string)
+	for _, b := range res.Routine.Blocks {
+		blocks[b.ID] = b.Name
+	}
+	value := regexp.MustCompile(`\bv(\d+)`)
+	preds := make(map[string]string)
+	for _, ev := range cfg.Trace.Events() {
+		if ev.Kind != obs.KindEdgePred {
+			continue
+		}
+		edge := blocks[int(ev.Arg)] + "←" + blocks[ev.Block]
+		if ev.Note == "" {
+			delete(preds, edge)
+			continue
+		}
+		preds[edge] = value.ReplaceAllStringFunc(ev.Note, func(v string) string {
+			id, _ := strconv.Atoi(v[1:])
+			return res.byID[id].ValueName()
+		})
+	}
+	if cfg.Trace.Emitted() != len(cfg.Trace.Events()) {
+		t.Fatalf("ring tracer dropped %d events", cfg.Trace.Emitted()-len(cfg.Trace.Events()))
+	}
+	return preds
 }
 
 // TestBlockPredicateNullifiedOnLoops: blocks whose predicate computation

@@ -1,11 +1,12 @@
 package core
 
 import (
+	"math"
 	"reflect"
 	"testing"
 
 	"pgvn/internal/expr"
-	"pgvn/internal/ir"
+	"pgvn/internal/slab"
 )
 
 // releasedRun analyzes Figure 1 until a run carves through a chunk set
@@ -56,9 +57,6 @@ func TestResultReleaseClearsSlabs(t *testing.T) {
 	for _, p := range res.blockPred {
 		keep(p)
 	}
-	for _, p := range res.edgePred {
-		keep(p)
-	}
 	if len(classes) == 0 || len(nodes) == 0 {
 		t.Fatalf("figure1 left %d classes and %d universe nodes to check", len(classes), len(nodes))
 	}
@@ -77,20 +75,32 @@ func TestResultReleaseClearsSlabs(t *testing.T) {
 			t.Errorf("universe node %d survived Release: kind %d, C %d", k, e.Kind, e.C)
 		}
 	}
-	s.classes.Each(func(chunk []class) {
+	for _, chunk := range wholeChunks(&s.classes) {
 		for k := range chunk {
 			if !reflect.ValueOf(&chunk[k]).Elem().IsZero() {
 				t.Fatalf("a pooled class chunk holds %+v at %d", chunk[k], k)
 			}
 		}
-	})
-	s.members.Each(func(chunk []ir.InstrID) {
+	}
+	for _, chunk := range wholeChunks(&s.members) {
 		for k, m := range chunk {
 			if m != 0 {
 				t.Fatalf("a pooled member chunk holds %d at %d", m, k)
 			}
 		}
-	})
+	}
+	s.classes.Clear() // wholeChunks handed every chunk out again
+	s.members.Clear()
+}
+
+// wholeChunks hands out every chunk of a cleared set, each whole: Next
+// returns the spares in order, cut to their full capacity.
+func wholeChunks[T any](c *slab.Chunks[T]) [][]T {
+	out := make([][]T, c.Len())
+	for k := range out {
+		out[k] = c.Next(math.MaxInt, 0)
+	}
+	return out
 }
 
 // TestReleasedResultQueriesPanic: a query on a released Result panics
@@ -111,8 +121,7 @@ func TestReleasedResultQueriesPanic(t *testing.T) {
 		{"Leader", func() { res.Leader(v) }},
 		{"BlockReachable", func() { res.BlockReachable(r.Entry()) }},
 		{"EdgeReachable", func() { res.EdgeReachable(e) }},
-		{"EdgePredicate", func() { res.EdgePredicate(e) }},
-		{"BlockPredicate", func() { res.BlockPredicate(r.Entry()) }},
+		{"PredicateInfo", func() { res.PredicateInfo(r.Entry()) }},
 		{"Count", func() { res.Count() }},
 		{"ReturnConst", func() { res.ReturnConst() }},
 		{"Partition", func() { res.Partition() }},

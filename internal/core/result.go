@@ -29,7 +29,6 @@ type Result struct {
 	rank       []int32
 	byID       []*ir.Instr
 	blockPred  []*expr.Expr
-	edgePred   map[*ir.Edge]*expr.Expr
 	canonical  [][]*ir.Edge
 	slabs      *slabs
 }
@@ -93,32 +92,25 @@ func (r *Result) Release() {
 }
 
 // result packages the analysis state. The fixpoint stores per-edge state
-// densely by arena edge id; the public Result keeps edge-keyed maps (and
-// pointer-valued canonical orders) because its consumers (package opt)
-// mutate the CFG while querying, which would invalidate dense indices.
-// The maps are built once here, holding only true/non-nil entries.
+// densely by arena edge id; the public Result keeps an edge-keyed
+// reachability map (and pointer-valued canonical orders) because its
+// consumers (package opt) mutate the CFG while querying, which would
+// invalidate dense indices. The map is built once here, holding only
+// true entries.
 func (a *analysis) result() *Result {
 	ar := a.ar
-	nReach, nPred := 0, 0
+	nReach := 0
 	for e := 0; e < ar.NumEdges(); e++ {
 		if a.edgeReach[e] {
 			nReach++
 		}
-		if a.edgePred[e] != nil {
-			nPred++
-		}
 	}
 	edgeReach := make(map[*ir.Edge]bool, nReach)
-	edgePred := make(map[*ir.Edge]*expr.Expr, nPred)
 	for _, b := range a.routine.Blocks {
 		base := ar.PredStart(uint32(b.ID))
 		for k, e := range b.Preds {
-			eid := base + uint32(k)
-			if a.edgeReach[eid] {
+			if a.edgeReach[base+uint32(k)] {
 				edgeReach[e] = true
-			}
-			if p := a.edgePred[eid]; p != nil {
-				edgePred[e] = p
 			}
 		}
 	}
@@ -143,7 +135,6 @@ func (a *analysis) result() *Result {
 		rank:       a.rank,
 		byID:       a.byID,
 		blockPred:  a.blockPred,
-		edgePred:   edgePred,
 		canonical:  canonical,
 		slabs:      a.slabs,
 	}
@@ -338,39 +329,14 @@ func (r *Result) ReturnConst() (int64, bool) {
 	return val, found
 }
 
-// BlockPredicate returns the φ-predication predicate of block b rendered
-// over value names ("" when none was computed), plus the CANONICAL
-// incoming-edge order it corresponds to (§2.8).
-func (r *Result) BlockPredicate(b *ir.Block) (string, []*ir.Edge) {
-	p := r.blockPred[b.ID]
-	if p == nil {
-		return "", nil
-	}
-	return r.RenderExpr(p), r.canonical[b.ID]
-}
-
 // PredicateInfo returns the raw φ-predication state of block b: the
 // block predicate expression and the CANONICAL incoming-edge order it
-// was built over, both nil when none was computed. BlockPredicate is the
-// rendered convenience form; the raw form exists for the verification
-// layer (internal/check), which validates the bookkeeping invariants —
-// the predicate and order are set together, and the order exactly
-// enumerates the reachable incoming edges.
+// was built over, both nil when none was computed. It exists for the
+// verification layer (internal/check), which validates the bookkeeping
+// invariants — the predicate and order are set together, and the order
+// exactly enumerates the reachable incoming edges.
 func (r *Result) PredicateInfo(b *ir.Block) (*expr.Expr, []*ir.Edge) {
 	return r.blockPred[b.ID], r.canonical[b.ID]
-}
-
-// EdgePredicate returns the predicate of edge e rendered over value names,
-// or "" when the edge carries none (§2.7).
-func (r *Result) EdgePredicate(e *ir.Edge) string {
-	if r.edgePred == nil {
-		panic(errReleased)
-	}
-	p := r.edgePred[e]
-	if p == nil {
-		return ""
-	}
-	return r.RenderExpr(p)
 }
 
 // DOT renders the analyzed routine's CFG in GraphViz dot syntax with
@@ -383,13 +349,4 @@ func (r *Result) DOT() string {
 		}
 		return ""
 	})
-}
-
-// classExpr exposes a class's defining expression to package-internal
-// tests.
-func (r *Result) classExpr(v *ir.Instr) *expr.Expr {
-	if c := r.class(v); c != nil {
-		return c.expr
-	}
-	return nil
 }

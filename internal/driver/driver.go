@@ -40,7 +40,6 @@ import (
 	"pgvn/internal/ir"
 	"pgvn/internal/obs"
 	"pgvn/internal/opt"
-	"pgvn/internal/parser"
 	"pgvn/internal/ssa"
 )
 
@@ -218,17 +217,6 @@ dispatch:
 	wg.Wait()
 	d.aggregate(b, time.Since(start))
 	return b
-}
-
-// RunSource parses src and runs the batch. A parse error aborts before
-// any routine work — parsing is whole-input, so there is no partial
-// batch to salvage.
-func (d *Driver) RunSource(ctx context.Context, src string) (*Batch, error) {
-	routines, err := parser.Parse(src)
-	if err != nil {
-		return nil, err
-	}
-	return d.Run(ctx, routines), nil
 }
 
 // one runs the pipeline for a single routine, converting a panic into a

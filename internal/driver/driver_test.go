@@ -10,6 +10,7 @@ import (
 	"pgvn/internal/core"
 	"pgvn/internal/ir"
 	"pgvn/internal/opt"
+	"pgvn/internal/parser"
 	"pgvn/internal/ssa"
 	"pgvn/internal/workload"
 )
@@ -250,18 +251,20 @@ func TestContextCancellation(t *testing.T) {
 	}
 }
 
-// TestRunSource exercises the parse-and-run convenience and its error
-// path.
+// TestRunSource exercises the source-text path every caller takes:
+// parser.Parse, then Run on the parsed unit. A parse error stops it
+// before any routine work.
 func TestRunSource(t *testing.T) {
 	d := New(Config{Core: core.DefaultConfig(), Jobs: 2})
-	b, err := d.RunSource(context.Background(), "func f(a) {\nentry:\n  x = a + 0\n  return x\n}\n")
+	routines, err := parser.Parse("func f(a) {\nentry:\n  x = a + 0\n  return x\n}\n")
 	if err != nil {
 		t.Fatal(err)
 	}
+	b := d.Run(context.Background(), routines)
 	if len(b.Results) != 1 || b.Results[0].Text == "" {
 		t.Fatalf("unexpected batch: %+v", b.Results)
 	}
-	if _, err := d.RunSource(context.Background(), "func {"); err == nil {
+	if _, err := parser.Parse("func {"); err == nil {
 		t.Errorf("parse error not surfaced")
 	}
 }

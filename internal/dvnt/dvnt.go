@@ -24,13 +24,6 @@ type Result struct {
 	cst map[*ir.Instr]int64
 }
 
-// Congruent reports whether DVNT proved a and b equal.
-func (res *Result) Congruent(a, b *ir.Instr) bool {
-	ra, ok1 := res.rep[a]
-	rb, ok2 := res.rep[b]
-	return ok1 && ok2 && ra == rb
-}
-
 // ConstOf reports whether DVNT proved v a compile-time constant.
 func (res *Result) ConstOf(v *ir.Instr) (int64, bool) {
 	c, ok := res.cst[v]

@@ -48,10 +48,10 @@ entry:
 			subs = append(subs, i)
 		}
 	})
-	if !res.Congruent(adds[0], adds[1]) {
+	if res.Rep(adds[0]) != res.Rep(adds[1]) {
 		t.Errorf("a+b and b+a not congruent (commutative ordering)")
 	}
-	if res.Congruent(adds[0], subs[0]) {
+	if res.Rep(adds[0]) == res.Rep(subs[0]) {
 		t.Errorf("a+b congruent to a-b")
 	}
 }
@@ -89,7 +89,7 @@ out:
 		t.Fatalf("%d adds", len(adds))
 	}
 	// All three are congruent: top dominates both branches.
-	if !res.Congruent(adds[0], adds[1]) || !res.Congruent(adds[0], adds[2]) {
+	if res.Rep(adds[0]) != res.Rep(adds[1]) || res.Rep(adds[0]) != res.Rep(adds[2]) {
 		t.Errorf("dominating expression not reused")
 	}
 	if res.Rep(adds[1]) != adds[0] || res.Rep(adds[2]) != adds[0] {
@@ -161,7 +161,7 @@ out:
 			adds = append(adds, i)
 		}
 	})
-	if res.Congruent(adds[0], adds[1]) {
+	if res.Rep(adds[0]) == res.Rep(adds[1]) {
 		t.Errorf("sibling-branch expressions must not share a scoped VN")
 	}
 }

@@ -6,8 +6,10 @@ import (
 	"pgvn/internal/ir"
 )
 
-// NewCompare builds a canonical comparison predicate over two atoms
-// (Value or Const expressions). Canonicalization (paper §2.8):
+// canonCompare canonicalizes the comparison a op b over two atoms (Value
+// or Const expressions) and either folds (non-nil fourth result) or
+// returns the canonical operator and operand order to build. The rules
+// (paper §2.8):
 //
 //   - constant/constant and identical-operand comparisons fold;
 //   - operands are ordered by increasing rank (constants rank 0), with the
@@ -15,22 +17,12 @@ import (
 //   - strict comparisons against a constant are normalized to non-strict
 //     ones (c < x becomes c+1 ≤ x), folding to a constant truth value at
 //     the int64 extremes.
-func NewCompare(op ir.Op, a, b *Expr) *Expr {
-	op, a, b, done := canonCompare(op, a, b, NewConst)
-	if done != nil {
-		return done
-	}
-	return &Expr{Kind: Compare, Op: op, Args: []*Expr{a, b}}
-}
-
-// canonCompare applies NewCompare's canonicalization and either folds
-// (non-nil fourth result) or returns the canonical operator and operand
-// order to build. newConst supplies constant results, so an Interner can
-// route folds into its own universe (small constants are shared atoms
-// either way).
+//
+// newConst supplies constant results, so an Interner can route folds into
+// its own universe (small constants are shared atoms either way).
 func canonCompare(op ir.Op, a, b *Expr, newConst func(int64) *Expr) (ir.Op, *Expr, *Expr, *Expr) {
 	if !op.IsCompare() {
-		panic("expr: NewCompare with non-comparison " + op.String())
+		panic("expr: Compare with non-comparison " + op.String())
 	}
 	ca, aConst := a.IsConst()
 	cb, bConst := b.IsConst()
@@ -99,16 +91,6 @@ func foldCompare(op ir.Op, a, b int64) int64 {
 		return 1
 	}
 	return 0
-}
-
-// NegateCompare returns the canonical negation of a comparison (used for
-// the predicate of a conditional jump's false edge). The argument must be
-// a Compare.
-func NegateCompare(e *Expr) *Expr {
-	if e.Kind != Compare {
-		panic("expr: NegateCompare of " + e.String())
-	}
-	return NewCompare(e.Op.Negate(), e.Args[0], e.Args[1])
 }
 
 // relation sets over {<, =, >} encode which orderings of (left, right)

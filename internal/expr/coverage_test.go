@@ -209,15 +209,3 @@ func TestSameAtomKinds(t *testing.T) {
 		t.Errorf("identical φ exprs differ (falls back to keys)")
 	}
 }
-
-func TestNewOrSimplifications(t *testing.T) {
-	x, y := mkval(1, 1), mkval(2, 2)
-	p := NewCompare(ir.OpLt, x, y)
-	if e := NewOr(nil, p); e.Key() != p.Key() {
-		t.Errorf("nil operand not skipped: %v", e)
-	}
-	nested := NewOr(p, NewCompare(ir.OpEq, x, y))
-	if nested.Kind != Or || len(nested.Args) != 2 {
-		t.Errorf("two-operand Or wrong: %v", nested)
-	}
-}

@@ -250,14 +250,6 @@ func (in *Interner) facAlloc(n int) []ValueRef {
 	return s
 }
 
-// NewInterner returns an empty universe sized for roughly hint distinct
-// expressions (e.g. an instruction count), carving plain chunks.
-func NewInterner(hint int) *Interner {
-	in := &Interner{}
-	in.Reset(hint, nil)
-	return in
-}
-
 // Size returns the number of interned expressions (shared atoms such as
 // small constants are canonical everywhere and are not counted).
 func (in *Interner) Size() int { return in.count }
@@ -416,7 +408,7 @@ func (in *Interner) internNode(k Kind, op ir.Op, name string, args []*Expr) *Exp
 	return in.add(h, e)
 }
 
-// Compare builds the canonical comparison a op b (NewCompare semantics).
+// Compare builds the canonical comparison a op b (see canonCompare).
 // Operands must be canonical atoms of this universe.
 func (in *Interner) Compare(op ir.Op, a, b *Expr) *Expr {
 	op, a, b, done := canonCompare(op, a, b, in.Const)
@@ -447,7 +439,7 @@ func (in *Interner) NegateCompare(e *Expr) *Expr {
 	return in.Compare(e.Op.Negate(), e.Args[0], e.Args[1])
 }
 
-// Opaque builds a canonical opaque expression (NewOpaque semantics) over
+// Opaque builds a canonical opaque expression (see canonOpaque) over
 // canonical atoms. args may be scratch; it is copied on an intern miss.
 func (in *Interner) Opaque(op ir.Op, name string, args []*Expr) *Expr {
 	if done := canonOpaque(op, args, in.Const); done != nil {
@@ -456,8 +448,8 @@ func (in *Interner) Opaque(op ir.Op, name string, args []*Expr) *Expr {
 	return in.internNode(Opaque, op, name, args)
 }
 
-// Phi builds a canonical φ expression (NewPhi semantics: reduces to the
-// argument when all arguments coincide). tag and args must be canonical,
+// Phi builds a canonical φ expression, which reduces to the argument when
+// all arguments coincide. tag and args must be canonical,
 // so the all-same test is pointer equality.
 func (in *Interner) Phi(tag *Expr, args []*Expr) *Expr {
 	if len(args) > 0 {
@@ -532,37 +524,6 @@ func (in *Interner) And(ops ...*Expr) *Expr {
 	return e
 }
 
-// Or disjoins canonical predicates with NewOr's flattening and constant
-// collapsing, interning the result.
-func (in *Interner) Or(ops ...*Expr) *Expr {
-	base := len(in.flat)
-	for _, o := range ops {
-		if o == nil || o.IsFalse() {
-			continue
-		}
-		if o.IsTrue() {
-			in.flat = in.flat[:base]
-			return smallConsts[129]
-		}
-		if o.Kind == Or {
-			in.flat = append(in.flat, o.Args...)
-			continue
-		}
-		in.flat = append(in.flat, o)
-	}
-	var e *Expr
-	switch flat := in.flat[base:]; len(flat) {
-	case 0:
-		e = smallConsts[128]
-	case 1:
-		e = flat[0]
-	default:
-		e = in.internNode(Or, 0, "", flat)
-	}
-	in.flat = in.flat[:base]
-	return e
-}
-
 // internSum lowers a normalized term list to its canonical expression
 // (Const/Value for degenerate sums). out may live in scratch; Terms and
 // Factors are deep-copied on an intern miss.
@@ -594,7 +555,8 @@ func (in *Interner) internSum(out []Term) *Expr {
 }
 
 // termLen returns e's term count in the reassociation algebra, or false
-// when e is outside it (mirrors asSum without materializing).
+// when e is outside it: constants (zero has no term), values and sums are
+// in the algebra; ⊥, predicates, φs and opaques are not.
 func termLen(e *Expr) (int, bool) {
 	switch e.Kind {
 	case Const:
@@ -627,7 +589,8 @@ func (in *Interner) appendTerms(e *Expr) {
 }
 
 // Add returns the canonical a+b, or nil when either operand is outside the
-// algebra or the result would exceed limit terms (AddExprs semantics).
+// algebra or the result would exceed limit terms (forward propagation
+// cancelled, paper footnote 4).
 func (in *Interner) Add(a, b *Expr, limit int) *Expr {
 	la, ok := termLen(a)
 	if !ok {
@@ -689,7 +652,7 @@ func (in *Interner) Neg(a *Expr) *Expr {
 }
 
 // Mul returns the canonical a*b by distributing over addition, or nil
-// when outside the algebra or beyond limit terms (MulExprs semantics).
+// when outside the algebra or beyond limit terms.
 // Factor lists of canonical terms are sorted by (rank, id), so each
 // product's factor list is a linear merge.
 func (in *Interner) Mul(a, b *Expr, limit int) *Expr {
@@ -759,9 +722,8 @@ func (in *Interner) Canon(e *Expr) *Expr {
 	case BlockTag:
 		return in.BlockTag(int(e.C))
 	case Sum:
-		// Verbatim: no re-normalization or degenerate lowering (raw sums
-		// from normalizeSum are already canonical; anything else interns
-		// as written, exactly as its key renders).
+		// Verbatim: no re-normalization or degenerate lowering (a raw sum
+		// interns as written, exactly as its key renders).
 		h := sumHash(e.Terms)
 		for c := in.bucket(h); c != nil; c = c.next {
 			if c.hash == h && c.Kind == Sum && sameTerms(c.Terms, e.Terms) {

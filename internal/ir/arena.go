@@ -43,8 +43,6 @@ const (
 // immutable and safe for concurrent readers; mutating the routine does
 // not update it (freeze again after mutation).
 type Arena struct {
-	routine *Routine
-
 	numInstrIDs int // id-space size (holes included)
 	numBlockIDs int
 	numEdges    int
@@ -93,7 +91,7 @@ var freezePool sync.Pool
 
 // Release returns the arena's index storage to a process-wide pool for
 // reuse by a later FreezeArena. The arena must not be used afterwards;
-// pointer tables previously obtained via InstrPtrs/BlockPtrs stay valid.
+// the pointer table previously obtained via InstrPtrs stays valid.
 func (a *Arena) Release() {
 	st := a.store
 	if st == nil {
@@ -122,7 +120,6 @@ func FreezeArena(r *Routine) *Arena {
 	}
 
 	a := &Arena{
-		routine:     r,
 		numInstrIDs: ni,
 		numBlockIDs: nb,
 		numEdges:    nEdges,
@@ -258,9 +255,6 @@ func FreezeArena(r *Routine) *Arena {
 	return a
 }
 
-// Routine returns the routine the arena was frozen from.
-func (a *Arena) Routine() *Routine { return a.routine }
-
 // NumInstrIDs returns the instruction id-space size (holes included).
 func (a *Arena) NumInstrIDs() int { return a.numInstrIDs }
 
@@ -329,13 +323,8 @@ func (a *Arena) PredStart(b BlockID) EdgeID { return a.predOff[b] }
 //pgvn:hotpath
 func (a *Arena) PredEnd(b BlockID) EdgeID { return a.predOff[b+1] }
 
-// NumPreds returns the number of edges entering block b.
-//
-//pgvn:hotpath
-func (a *Arena) NumPreds(b BlockID) int { return int(a.predOff[b+1] - a.predOff[b]) }
-
 // SuccEdgeIDs returns the EdgeIDs leaving block b in successor order
-// (index k is the edge with OutIndex k). The slice aliases the pool.
+// (index k is the edge at From.Succs[k]). The slice aliases the pool.
 //
 //pgvn:hotpath
 func (a *Arena) SuccEdgeIDs(b BlockID) []EdgeID { return a.succEdge[a.succOff[b]:a.succOff[b+1]] }
@@ -356,13 +345,6 @@ func (a *Arena) EdgeTo(e EdgeID) BlockID { return a.edgeTo[e] }
 //pgvn:hotpath
 func (a *Arena) EdgeInIndex(e EdgeID) int { return int(e - a.predOff[a.edgeTo[e]]) }
 
-// InstrPtr returns the pointer-API instruction for id i (nil for
-// holes). Boundary accessor: cold fields (Name, Const, Cases) and
-// pointer-based consumers go through here.
-//
-//pgvn:hotpath
-func (a *Arena) InstrPtr(i InstrID) *Instr { return a.instrPtr[i] }
-
 // BlockPtr returns the pointer-API block for id b (nil for holes).
 //
 //pgvn:hotpath
@@ -373,21 +355,10 @@ func (a *Arena) BlockPtr(b BlockID) *Block { return a.blockPtr[b] }
 // it.
 func (a *Arena) InstrPtrs() []*Instr { return a.instrPtr }
 
-// BlockPtrs returns the id-indexed block pointer table (nil for holes).
-// The slice is shared with the arena; callers must not modify it.
-func (a *Arena) BlockPtrs() []*Block { return a.blockPtr }
-
 // EdgePtr returns the pointer-API edge for id e.
 func (a *Arena) EdgePtr(e EdgeID) *Edge {
 	to := a.blockPtr[a.edgeTo[e]]
 	return to.Preds[a.EdgeInIndex(e)]
-}
-
-// EdgeIDOf returns the dense id of edge e.
-//
-//pgvn:hotpath
-func (a *Arena) EdgeIDOf(e *Edge) EdgeID {
-	return a.predOff[e.To.ID] + uint32(e.inIndex)
 }
 
 // ConstOf returns the OpConst constant of instruction i. Constants are

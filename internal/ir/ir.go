@@ -292,9 +292,6 @@ type Edge struct {
 	inIndex int
 }
 
-// OutIndex returns the index of the edge within From.Succs.
-func (e *Edge) OutIndex() int { return e.outIndex }
-
 // InIndex returns the index of the edge within To.Preds, which is also the
 // φ-argument slot the edge feeds.
 func (e *Edge) InIndex() int { return e.inIndex }
@@ -343,18 +340,6 @@ func (b *Block) Phis() []*Instr {
 	}
 	return b.Instrs[:n]
 }
-
-// NumPreds and NumSuccs report the number of incoming and outgoing edges.
-func (b *Block) NumPreds() int { return len(b.Preds) }
-
-// NumSuccs reports the number of outgoing edges.
-func (b *Block) NumSuccs() int { return len(b.Succs) }
-
-// Pred returns the i'th predecessor block.
-func (b *Block) Pred(i int) *Block { return b.Preds[i].From }
-
-// Succ returns the i'th successor block.
-func (b *Block) Succ(i int) *Block { return b.Succs[i].To }
 
 // String returns the block label.
 func (b *Block) String() string { return b.Name }

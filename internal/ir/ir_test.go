@@ -80,8 +80,8 @@ func TestEdgeIndices(t *testing.T) {
 		t.Fatalf("predecessor order wrong")
 	}
 	for k, e := range entry.Succs {
-		if e.OutIndex() != k {
-			t.Errorf("edge %v OutIndex=%d want %d", e, e.OutIndex(), k)
+		if e.outIndex != k {
+			t.Errorf("edge %v OutIndex=%d want %d", e, e.outIndex, k)
 		}
 	}
 	for k, e := range join.Preds {

@@ -114,7 +114,7 @@ func TestMergeBlocksInheritsSuccessors(t *testing.T) {
 		t.Fatalf("successors not inherited in order")
 	}
 	for k, e := range entry.Succs {
-		if e.From != entry || e.OutIndex() != k {
+		if e.From != entry || e.outIndex != k {
 			t.Fatalf("edge bookkeeping broken")
 		}
 	}

@@ -223,16 +223,6 @@ func (t *Tracer) SetName(index int, routine string) {
 	t.index, t.routine = index, routine
 }
 
-// SetTimestamps disables (or re-enables) wall-clock timestamps. With
-// timestamps off, Event.T is always 0 and the stream is byte-identical
-// across runs — the mode the determinism tests and golden exports use.
-func (t *Tracer) SetTimestamps(on bool) {
-	if t == nil {
-		return
-	}
-	t.timestamps = on
-}
-
 // SetSpan links the tracer to its enclosing distributed-trace span, so
 // exported event streams (and the -explain replay built on them) carry
 // the (trace id, span id) of the request that produced them.

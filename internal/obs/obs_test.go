@@ -13,7 +13,6 @@ func TestNilReceiversAreNoOps(t *testing.T) {
 	var tr *Tracer
 	tr.Emit(KindEval, 1, 2, 3, 4, "x") // must not panic
 	tr.SetName(1, "r")
-	tr.SetTimestamps(false)
 	if tr.Events() != nil || tr.Len() != 0 || tr.Dropped() != 0 || tr.Emitted() != 0 {
 		t.Errorf("nil tracer not empty")
 	}
@@ -39,7 +38,7 @@ func TestNilReceiversAreNoOps(t *testing.T) {
 
 func TestTracerRecordsInOrder(t *testing.T) {
 	tr := NewTracer(16)
-	tr.SetTimestamps(false)
+	tr.timestamps = false
 	tr.Emit(KindPassStart, 1, -1, -1, 0, "")
 	tr.Emit(KindEval, 1, 2, 7, 0, "add(v1,v2)")
 	tr.Emit(KindPassEnd, 1, -1, -1, 3, "")
@@ -62,7 +61,7 @@ func TestTracerRecordsInOrder(t *testing.T) {
 
 func TestTracerRingOverflow(t *testing.T) {
 	tr := NewTracer(4)
-	tr.SetTimestamps(false)
+	tr.timestamps = false
 	for i := 0; i < 10; i++ {
 		tr.Emit(KindEval, 0, -1, i, 0, "")
 	}
@@ -196,7 +195,7 @@ func TestSnapshotJSONIsStable(t *testing.T) {
 func testStreams() []RoutineEvents {
 	tr := NewTracer(32)
 	tr.SetName(0, "R")
-	tr.SetTimestamps(false)
+	tr.timestamps = false
 	tr.Emit(KindPassStart, 1, -1, -1, 0, "")
 	tr.Emit(KindEval, 1, 2, 7, 0, "c1")
 	tr.Emit(KindClassJoin, 1, 2, 7, 3, "c1")
@@ -270,7 +269,7 @@ func TestWriteChromeTraceIsValidAndBalanced(t *testing.T) {
 
 func TestChromeTraceClosesDanglingPass(t *testing.T) {
 	tr := NewTracer(8)
-	tr.SetTimestamps(false)
+	tr.timestamps = false
 	tr.Emit(KindPassStart, 1, -1, -1, 0, "")
 	tr.Emit(KindEval, 1, 0, 0, 0, "x")
 	streams := []RoutineEvents{{Index: 0, Routine: "R", Events: tr.Events()}}

@@ -70,15 +70,6 @@ func TestParserErrorPathsExtra(t *testing.T) {
 	}
 }
 
-func TestMustParseRoutinePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatalf("MustParseRoutine did not panic on bad input")
-		}
-	}()
-	MustParseRoutine("func {")
-}
-
 func TestParseRoutineRejectsMultiple(t *testing.T) {
 	_, err := ParseRoutine(`
 func a(x) {
@@ -96,7 +87,7 @@ e:
 }
 
 func TestLexerNegativeNumbersAndOps(t *testing.T) {
-	r := MustParseRoutine(`
+	r := mustParse(t, `
 func f(a) {
 entry:
   x = a * -3 / (0 - -2)

@@ -39,16 +39,6 @@ func ParseRoutine(src string) (*ir.Routine, error) {
 	return rs[0], nil
 }
 
-// MustParseRoutine is ParseRoutine for tests and examples with known-good
-// sources; it panics on error.
-func MustParseRoutine(src string) *ir.Routine {
-	r, err := ParseRoutine(src)
-	if err != nil {
-		panic(err)
-	}
-	return r
-}
-
 type parser struct {
 	lx  *lexer
 	tok token

@@ -7,6 +7,16 @@ import (
 	"pgvn/internal/ir"
 )
 
+// mustParse parses a known-good single-routine source.
+func mustParse(t *testing.T, src string) *ir.Routine {
+	t.Helper()
+	r, err := ParseRoutine(src)
+	if err != nil {
+		t.Fatalf("parse: %v", err)
+	}
+	return r
+}
+
 func TestParseSimple(t *testing.T) {
 	r, err := ParseRoutine(`
 func add1(x) {
@@ -30,7 +40,7 @@ entry:
 }
 
 func TestParseBranchEdgeOrder(t *testing.T) {
-	r := MustParseRoutine(`
+	r := mustParse(t, `
 func f(x) {
 entry:
   if x < 3 goto yes else no
@@ -55,7 +65,7 @@ no:
 }
 
 func TestParseSwitch(t *testing.T) {
-	r := MustParseRoutine(`
+	r := mustParse(t, `
 func f(x) {
 entry:
   switch x [1: one, 5: five, default: other]
@@ -81,7 +91,7 @@ other:
 }
 
 func TestParsePrecedence(t *testing.T) {
-	r := MustParseRoutine(`
+	r := mustParse(t, `
 func f(a, b, c) {
 entry:
   x = a + b * c
@@ -120,7 +130,7 @@ entry:
 }
 
 func TestParseCall(t *testing.T) {
-	r := MustParseRoutine(`
+	r := mustParse(t, `
 func f(a) {
 entry:
   x = g(a, 2) + h()
@@ -227,7 +237,7 @@ done:
   return y
 }
 `
-	r := MustParseRoutine(src)
+	r := mustParse(t, src)
 	p1, p2 := r.String(), r.String()
 	if p1 != p2 {
 		t.Fatalf("printing is not deterministic:\n%s\nvs\n%s", p1, p2)

@@ -8,6 +8,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -449,7 +450,7 @@ func TestFleetChaos(t *testing.T) {
 	// SuspectAfter failed heartbeats.
 	deadline := time.Now().Add(10 * time.Second)
 	for _, n := range survivors {
-		for n.cl.Ring().Has(dead.url) {
+		for slices.Contains(n.cl.Alive(), dead.url) {
 			if time.Now().After(deadline) {
 				t.Fatalf("node %s never evicted the dead peer", n.url)
 			}

@@ -213,10 +213,6 @@ func New(cfg Config) *Server {
 	return s
 }
 
-// Handler returns the fully wired root handler (every endpoint,
-// instrumentation and panic isolation included) for tests or embedding.
-func (s *Server) Handler() http.Handler { return s.mux }
-
 // logf logs through Config.Logf when set.
 func (s *Server) logf(format string, args ...any) {
 	if s.cfg.Logf != nil {

@@ -440,7 +440,7 @@ func TestObsEndpointsMounted(t *testing.T) {
 	if n := reg.Counter("server.status.200").Value(); n < 1 {
 		t.Fatalf("server.status.200 = %d", n)
 	}
-	if c := reg.Histogram("server.latency_ns.optimize").Count(); c != 1 {
+	if c := reg.Snapshot().Histograms["server.latency_ns.optimize"].Count; c != 1 {
 		t.Fatalf("latency histogram count = %d", c)
 	}
 	for _, name := range []string{"metrics", "progress", "pprof", "healthz", "stats"} {
@@ -524,3 +524,8 @@ func TestMemCacheSharedAcrossRequests(t *testing.T) {
 		t.Fatal("driver mem cache never hit across requests")
 	}
 }
+
+// Handler returns the fully wired root handler (every endpoint,
+// instrumentation and panic isolation included), so tests can serve it
+// in process.
+func (s *Server) Handler() http.Handler { return s.mux }

@@ -33,7 +33,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -100,9 +99,6 @@ type Store struct {
 	clock   int64
 	stats   Stats
 	dirty   bool // access order changed since the last Flush
-
-	// onEvict, when set, observes each LRU eviction (metrics hook).
-	onEvict func()
 }
 
 // Open loads (creating if needed) the store rooted at dir. maxBytes <= 0
@@ -344,9 +340,6 @@ func (s *Store) evictLocked(keep *entry) {
 		}
 		s.dropLocked(victim, true)
 		s.stats.Evictions++
-		if s.onEvict != nil {
-			s.onEvict()
-		}
 	}
 }
 
@@ -360,15 +353,6 @@ func (s *Store) dropLocked(key string, unlink bool) {
 	if unlink {
 		os.Remove(s.path(key))
 	}
-}
-
-// OnEvict registers a callback observing every LRU eviction (the
-// metrics bridge; gvnd counts cluster.evictions.disk through it). The
-// callback runs with the store lock held — keep it trivial.
-func (s *Store) OnEvict(fn func()) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.onEvict = fn
 }
 
 // Flush persists the access-order index (atomically), so LRU ordering
@@ -448,19 +432,4 @@ func (s *Store) Len() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return len(s.entries)
-}
-
-// Keys returns the resident keys ordered most-recently-used first; it
-// exists for tests and the /v1/stats endpoint's debugging view.
-func (s *Store) Keys() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	keys := make([]string, 0, len(s.entries))
-	for k := range s.entries {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		return s.entries[keys[i]].atime > s.entries[keys[j]].atime
-	})
-	return keys
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -373,20 +374,17 @@ func TestFlushEveryIdlesWhenClean(t *testing.T) {
 	}
 }
 
-// TestOnEvict counts evictions through the metrics hook.
-func TestOnEvict(t *testing.T) {
-	s, err := Open(t.TempDir(), 64)
-	if err != nil {
-		t.Fatal(err)
+// Keys returns the resident keys ordered most-recently-used first: the
+// LRU order the index persists.
+func (s *Store) Keys() []string {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	keys := make([]string, 0, len(s.entries))
+	for k := range s.entries {
+		keys = append(keys, k)
 	}
-	var evicted int
-	s.OnEvict(func() { evicted++ })
-	for i := 0; i < 4; i++ {
-		if err := s.Put(Key("f", strings.Repeat("x", i+1)), []byte(`{"pad":"0123456789"}`)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if evicted == 0 || int64(evicted) != s.Stats().Evictions {
-		t.Fatalf("hook saw %d evictions, stats say %d", evicted, s.Stats().Evictions)
-	}
+	sort.Slice(keys, func(i, j int) bool {
+		return s.entries[keys[i]].atime > s.entries[keys[j]].atime
+	})
+	return keys
 }

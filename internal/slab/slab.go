@@ -47,10 +47,3 @@ func (c *Chunks[T]) Clear() {
 
 // Len returns the number of chunks in the set, carved and spare.
 func (c *Chunks[T]) Len() int { return len(c.list) }
-
-// Each calls f on every chunk in the set, carved and spare, whole.
-func (c *Chunks[T]) Each(f func([]T)) {
-	for _, s := range c.list {
-		f(s[:cap(s)])
-	}
-}

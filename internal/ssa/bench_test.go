@@ -48,19 +48,3 @@ func BenchmarkBuildFrom(b *testing.B) {
 		})
 	}
 }
-
-func BenchmarkDestruct(b *testing.B) {
-	orig := workload.Generate("bench", workload.GenConfig{
-		Seed: 42, Stmts: 120, Params: 3, MaxLoopDepth: 2,
-	})
-	if err := ssa.Build(orig, ssa.SemiPruned); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for n := 0; n < b.N; n++ {
-		r := orig.Clone()
-		if err := ssa.Destruct(r); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
