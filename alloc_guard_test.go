@@ -1,9 +1,15 @@
 package pgvn
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
+	"fmt"
+	"io"
+	"net/http"
 	"runtime"
 	"runtime/metrics"
+	"strings"
 	"testing"
 	"time"
 
@@ -13,6 +19,7 @@ import (
 	"pgvn/internal/opt"
 	"pgvn/internal/opt/pre"
 	"pgvn/internal/parser"
+	"pgvn/internal/server"
 	"pgvn/internal/ssa"
 	"pgvn/internal/workload"
 )
@@ -108,82 +115,83 @@ func TestPREAllocGuard(t *testing.T) {
 // ssa.BuildFrom materializes only the surviving instructions from a
 // read-only plan, its new names cut from one string (90, against 120
 // for Clone+ssa.Build). SSA construction's tables and plan, the
-// materializers' id tables and Verify's tables now come from pools
-// (DESIGN §17): Verify 2 → 0, ssa.BuildFrom 90 → 8, Clone+ssa.Build
-// 120 → 39, ParseRoutine 181 → 179. The ceilings leave headroom over the
-// new counts, at most one allocation for a pooled call since a
-// collection during the measurement can empty a pool, but fail loudly
-// if a map-keyed table, an unpooled scratch table or per-object
-// allocation returns. Under the race detector sync.Pool drops a quarter
-// of its Puts on purpose, so pooled calls are held to their pre-pool
-// ceilings there.
+// materializers' id tables and Verify's tables come from a workspace
+// (DESIGN §17), measured here in the form the driver uses: one
+// ssa.Scratch, the built routine released and the scratch reset after
+// each run. Verify 2 → 0, ssa.BuildFrom 90 → 2, Clone+ssa.Build
+// 120 → 39. The ceilings leave headroom over the counts but fail loudly
+// if a map-keyed table, a table made per call or per-object allocation
+// returns.
 func TestFrontEndAllocGuard(t *testing.T) {
 	src, err := parser.ParseRoutine(figure1Source)
 	if err != nil {
 		t.Fatal(err)
 	}
+	sc := new(ssa.Scratch)
 	parseAllocs := testing.AllocsPerRun(20, func() {
 		if _, err := parser.ParseRoutine(figure1Source); err != nil {
 			t.Fatal(err)
 		}
 	})
 	verifyAllocs := testing.AllocsPerRun(20, func() {
-		if err := src.Verify(); err != nil {
+		if err := src.VerifyIn(&sc.IR); err != nil {
 			t.Fatal(err)
 		}
+		sc.Reset()
 	})
 	cloneAllocs := testing.AllocsPerRun(20, func() { _ = src.Clone() })
 	buildAllocs := testing.AllocsPerRun(20, func() {
-		if err := ssa.Build(src.Clone(), ssa.SemiPruned); err != nil {
+		if err := ssa.BuildIn(sc, src.Clone(), ssa.SemiPruned); err != nil {
 			t.Fatal(err)
 		}
+		sc.Reset()
 	})
 	buildFromAllocs := testing.AllocsPerRun(20, func() {
-		if _, err := ssa.BuildFrom(src, ssa.SemiPruned); err != nil {
+		r, err := ssa.BuildFromIn(sc, src, ssa.SemiPruned)
+		if err != nil {
 			t.Fatal(err)
 		}
+		r.Release()
+		sc.Reset()
 	})
 	t.Logf("figure1: ParseRoutine %.0f, Verify %.0f, Clone %.0f, Clone+ssa.Build %.0f, "+
 		"ssa.BuildFrom %.0f allocs/run",
 		parseAllocs, verifyAllocs, cloneAllocs, buildAllocs, buildFromAllocs)
 	for _, g := range []struct {
-		what         string
-		allocs       float64
-		max, raceMax float64
+		what   string
+		allocs float64
+		max    float64
 	}{
-		{"Verify", verifyAllocs, 1, 4},
-		{"Clone", cloneAllocs, 12, 12},
-		{"Clone+ssa.Build", buildAllocs, 44, 240},
-		{"ParseRoutine", parseAllocs, 190, 200},
-		{"ssa.BuildFrom", buildFromAllocs, 12, 110},
+		{"Verify", verifyAllocs, 1},
+		{"Clone", cloneAllocs, 12},
+		{"Clone+ssa.Build", buildAllocs, 44},
+		{"ParseRoutine", parseAllocs, 190},
+		{"ssa.BuildFrom", buildFromAllocs, 12},
 	} {
-		max := g.max
-		if raceEnabled {
-			max = g.raceMax
-		}
-		if g.allocs > max {
+		if g.allocs > g.max {
 			t.Errorf("%s(figure1) allocates %.0f objects/run, want ≤ %.0f — "+
-				"a map-keyed side table, unpooled scratch or per-object allocation is back in the front end",
-				g.what, g.allocs, max)
+				"a map-keyed side table, a per-call scratch table or per-object allocation is back in the front end",
+				g.what, g.allocs, g.max)
 		}
 	}
 }
 
 // TestOptAllocGuard gates redundancy elimination's allocation count on
-// an optimized Figure 1. With its dominator tree returned to dom's pool
-// and its position table dense by id, a run allocates that table alone;
-// a tree dropped to the collector, or a map keyed by instruction, takes
-// it to a dozen.
+// an optimized Figure 1, analyzed in a workspace as the driver does.
+// With its dominator tree built in the Result's workspace and its
+// position table dense by id, a run allocates that table alone; a tree
+// made per call, or a map keyed by instruction, takes it to a dozen.
 func TestOptAllocGuard(t *testing.T) {
 	src, err := parser.ParseRoutine(figure1Source)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := ssa.BuildFrom(src, ssa.SemiPruned)
+	ws := new(core.Workspace)
+	r, err := ssa.BuildFromIn(ws.SSA(), src, ssa.SemiPruned)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := core.Run(r, core.DefaultConfig())
+	res, err := core.RunIn(ws, r, core.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,13 +200,9 @@ func TestOptAllocGuard(t *testing.T) {
 	}
 	allocs := testing.AllocsPerRun(20, func() { opt.EliminateRedundancies(res) })
 	t.Logf("figure1: EliminateRedundancies %.0f allocs/run", allocs)
-	max := 2.0
-	if raceEnabled {
-		max = 8 // sync.Pool drops a quarter of its Puts under the race detector
-	}
-	if allocs > max {
-		t.Fatalf("EliminateRedundancies(figure1) allocates %.0f objects/run, want ≤ %.0f — "+
-			"its dominator tree no longer goes back to the pool", allocs, max)
+	if allocs > 2 {
+		t.Fatalf("EliminateRedundancies(figure1) allocates %.0f objects/run, want ≤ 2 — "+
+			"its dominator tree is no longer built in the workspace", allocs)
 	}
 }
 
@@ -211,9 +215,11 @@ func TestOptAllocGuard(t *testing.T) {
 // tables by id, took the corpus from 192 to 117 KB per routine. The
 // driver then released each finished routine's SSA storage and its
 // Result's universe, class and member chunks for the next routine to
-// carve from: 117.8 → 32.5–33.4 KB. The ceiling leaves about 10% headroom.
-// Under the race detector, where sync.Pool drops a quarter of its Puts,
-// the batch reads 141–145 KB.
+// carve from: 117.8 → 32.5–33.4 KB. With one workspace per worker the
+// batch reads 31.6 KB. The ceiling leaves about 10% headroom. Under the
+// race detector sync.Pool drops a quarter of its Puts, so the batch
+// sometimes starts from a fresh workspace and reads 36.0 KB instead of
+// 31.9 KB.
 func TestDriverBytesGuard(t *testing.T) {
 	var routines []*ir.Routine
 	for _, bm := range workload.Corpus(0.5) {
@@ -225,7 +231,7 @@ func TestDriverBytesGuard(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	run() // warm the pools
+	run() // warm the workspace pool
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	run()
@@ -234,7 +240,7 @@ func TestDriverBytesGuard(t *testing.T) {
 	t.Logf("%d routines: driver.Run allocates %.1f KB per routine", len(routines), perRoutine)
 	max := 37.0
 	if raceEnabled {
-		max = 160 // sync.Pool drops a quarter of its Puts under the race detector
+		max = 40 // a dropped Put starts the batch from a fresh workspace
 	}
 	if perRoutine > max {
 		t.Fatalf("driver.Run allocates %.1f KB per routine, want ≤ %.0f KB — "+
@@ -243,24 +249,26 @@ func TestDriverBytesGuard(t *testing.T) {
 	}
 }
 
-// TestAnalysisHeapBounded gates what the pooled scratch of the driver
-// path keeps alive between routines. A pool may hold capacity but never
-// a pointer into a finished routine or expression universe: the
-// interner used to carve each universe from the previous one's
-// bump-chunk tails, so the pooled interner pinned a chain of chunks back
-// through every routine the process had analyzed (≈26 KB per routine,
-// unbounded in gvnd). Both cases run the whole driver path — parse,
-// ssa.BuildFrom, core.Run, opt — so every pool on it is populated: SSA
+// TestAnalysisHeapBounded gates what the workspaces of the driver path
+// keep alive between routines. A workspace may hold capacity but never a
+// pointer into a finished routine or expression universe: the interner
+// used to carve each universe from the previous one's bump-chunk tails,
+// so a recycled interner pinned a chain of chunks back through every
+// routine the process had analyzed (≈26 KB per routine, unbounded in
+// gvnd). The cases run the whole driver path — parse, ssa.BuildFrom,
+// core.Run, opt — so every part of a workspace is populated: SSA
 // construction's builder, ir's id tables, dom's trees, the analysis
 // scratch and, since the driver releases every finished routine, the
 // SSA storage and the universe, class and member chunks.
 //
 // The heap case optimizes the corpus K times with no collection in
-// between, then collects once, so the pool entries survive in the
+// between, then collects once, so the pooled workspaces survive in the
 // victim cache, and compares the live heap against the one before the
-// runs: it must not grow with K. The finalizer case drops a parsed
-// routine and its optimized SSA form while the scratch sits in the
-// pools; one collection must find both unreachable.
+// runs: it must not grow with K. The gvnd case does the same with K
+// rounds of cold optimize requests, each round's units new, at an
+// in-process gvnd without a hot tier or a driver cache. The finalizer
+// case drops a parsed routine and its optimized SSA form while the
+// workspaces sit in the pool; one collection must find both unreachable.
 func TestAnalysisHeapBounded(t *testing.T) {
 	if testing.Short() {
 		t.Skip("optimizes the half-scale corpus five times")
@@ -278,13 +286,31 @@ func TestAnalysisHeapBounded(t *testing.T) {
 		metrics.Read(sample)
 		return int64(sample[0].Value.Uint64())
 	}
-	// growth returns the live-heap delta k corpus passes leave behind
-	// after one collection.
-	growth := func(k int) int64 {
-		runtime.GC()
-		runtime.GC() // drop any pool entry from earlier runs
-		before := liveHeap()
-		for range k {
+	// bounded checks that k calls of pass leave the live heap, after one
+	// collection, where one call leaves it.
+	bounded := func(t *testing.T, what string, pass func()) {
+		growth := func(k int) int64 {
+			runtime.GC()
+			runtime.GC() // drop any pool entry from earlier runs
+			before := liveHeap()
+			for range k {
+				pass()
+			}
+			runtime.GC()
+			return liveHeap() - before
+		}
+		g1, g4 := growth(1), growth(4)
+		t.Logf("%s: live heap %+d KB after 1 pass, %+d KB after 4", what, g1>>10, g4>>10)
+		const slack = 1 << 20
+		if g4-g1 > slack {
+			t.Fatalf("live heap after 4 passes exceeds 1 pass by %d KB, want ≤ %d KB — "+
+				"a workspace on the driver path pins finished routines or universes",
+				(g4-g1)>>10, slack>>10)
+		}
+	}
+
+	t.Run("heap", func(t *testing.T) {
+		bounded(t, fmt.Sprintf("%d routines", len(routines)), func() {
 			for _, src := range units {
 				unit, err := parser.Parse(src)
 				if err != nil {
@@ -295,21 +321,35 @@ func TestAnalysisHeapBounded(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-		}
-		runtime.GC()
-		return liveHeap() - before
-	}
+		})
+	})
 
-	t.Run("heap", func(t *testing.T) {
-		g1, g4 := growth(1), growth(4)
-		t.Logf("%d routines: live heap %+d KB after 1 pass, %+d KB after 4",
-			len(routines), g1>>10, g4>>10)
-		const slack = 1 << 20
-		if g4-g1 > slack {
-			t.Fatalf("live heap after 4 corpus passes exceeds 1 pass by %d KB, want ≤ %d KB — "+
-				"a pool on the driver path pins finished routines or universes",
-				(g4-g1)>>10, slack>>10)
+	t.Run("gvnd", func(t *testing.T) {
+		srv := server.New(server.Config{Jobs: 2})
+		if err := srv.Start("127.0.0.1:0"); err != nil {
+			t.Fatal(err)
 		}
+		defer srv.Shutdown(context.Background())
+		url := "http://" + srv.Addr + "/v1/optimize"
+		round := 0
+		bounded(t, "40 cold requests", func() {
+			for i := range 40 {
+				body, err := json.Marshal(server.OptimizeRequest{Source: coldUnit(round, i), PRE: true})
+				if err != nil {
+					t.Fatal(err)
+				}
+				resp, err := http.Post(url, "application/json", bytes.NewReader(body))
+				if err != nil {
+					t.Fatal(err)
+				}
+				io.Copy(io.Discard, resp.Body)
+				resp.Body.Close()
+				if resp.StatusCode != http.StatusOK {
+					t.Fatalf("round %d, unit %d: status %d", round, i, resp.StatusCode)
+				}
+			}
+			round++
+		})
 	})
 
 	t.Run("finalizer", func(t *testing.T) {
@@ -387,8 +427,27 @@ func TestAnalysisHeapBounded(t *testing.T) {
 			case <-w.collected:
 			case <-time.After(5 * time.Second):
 				t.Fatalf("the %s routine survived a collection after it was dropped — "+
-					"a pool on the driver path pins it", w.what)
+					"a workspace on the driver path pins it", w.what)
 			}
 		}
 	})
+}
+
+// coldUnit is unit i of request round round: 1–4 routines no earlier
+// round generated, SPEC-shaped for even i and from the GVN-PRE family
+// for odd i.
+func coldUnit(round, i int) string {
+	var sb strings.Builder
+	for j := 0; j < 1+i/2%4; j++ {
+		r := workload.Generate(fmt.Sprintf("c%d_%d_%d", round, i, j), workload.GenConfig{
+			Seed:              int64(round*1000 + i*10 + j),
+			Stmts:             14 + (i*7+j)%20,
+			Params:            1 + j%3,
+			MaxLoopDepth:      2,
+			PartialRedundancy: i%2 == 1,
+		})
+		sb.WriteString(workload.SourceText(r))
+		sb.WriteString("\n")
+	}
+	return sb.String()
 }

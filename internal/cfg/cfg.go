@@ -4,9 +4,8 @@
 package cfg
 
 import (
-	"sync"
-
 	"pgvn/internal/ir"
+	"pgvn/internal/slab"
 )
 
 // Order holds a reverse-post-order numbering of a routine's blocks.
@@ -25,63 +24,64 @@ type frame struct {
 	next int
 }
 
-// rpoScratch is the construction-local state of one ReversePostOrder
-// call: the visited set, the DFS stack and the post-order accumulator.
-// None of it escapes, so it is pooled; Orders themselves are pooled
-// separately via Release.
-type rpoScratch struct {
-	visited []bool
-	stack   []frame
-	post    []*ir.Block
+// Scratch is the reusable memory of ReversePostOrder: the Order it
+// returns and the tables behind it, and the visited set, DFS stack and
+// post-order of one construction. The zero Scratch is ready to use; a
+// nil *Scratch makes each call allocate its own. Reset zeroes what the
+// last routine was handed and keeps the capacity (DESIGN §17).
+type Scratch struct {
+	order   Order
+	blocks  slab.Table[*ir.Block]
+	number  slab.Table[int]
+	visited slab.Table[bool]
+	stack   slab.Table[frame]
+	post    slab.Table[*ir.Block]
 }
 
-var (
-	rpoScratchPool sync.Pool
-	orderPool      sync.Pool
-)
+// Reset zeroes every table the last routine was handed; an Order built
+// in s is unusable afterwards.
+func (s *Scratch) Reset() {
+	s.order = Order{}
+	s.blocks.Reset()
+	s.number.Reset()
+	s.visited.Reset()
+	s.stack.Reset()
+	s.post.Reset()
+}
 
 // ReversePostOrder computes an RPO numbering of the blocks reachable from
 // the routine's entry block. Successors are visited in edge order, so the
 // numbering is deterministic.
-func ReversePostOrder(r *ir.Routine) *Order {
+func ReversePostOrder(r *ir.Routine) *Order { return ReversePostOrderIn(nil, r) }
+
+// ReversePostOrderIn is ReversePostOrder building in s (nil allocates).
+// The Order is valid until s builds another or is reset.
+func ReversePostOrderIn(s *Scratch, r *ir.Routine) *Order {
+	if s == nil {
+		s = new(Scratch)
+	}
 	n := r.NumBlockIDs()
-	o, _ := orderPool.Get().(*Order)
-	if o == nil {
-		o = &Order{}
-	}
-	if cap(o.Number) < n {
-		o.Number = make([]int, n)
-	}
-	o.Number = o.Number[:n]
+	o := &s.order
+	o.Number = s.number.Take(n)
 	for i := range o.Number {
 		o.Number[i] = -1
 	}
-	sc, _ := rpoScratchPool.Get().(*rpoScratch)
-	if sc == nil {
-		sc = &rpoScratch{}
-	}
-	if cap(sc.visited) < n {
-		sc.visited = make([]bool, n)
-		sc.stack = make([]frame, n)
-		sc.post = make([]*ir.Block, n)
-	}
-	visited := sc.visited[:n]
-	clear(visited)
+	visited := s.visited.Take(n)
 	// Iterative DFS with an explicit stack to survive deep graphs. Stack
 	// depth and post-order length are bounded by the block count, so the
-	// appends below never outgrow the pooled capacity.
-	stack := sc.stack[:0:n]
-	post, np := sc.post[:n], 0
+	// appends below never outgrow the taken capacity.
+	stack := s.stack.Take(n)[:0]
+	post, np := s.post.Take(n), 0
 	stack = append(stack, frame{b: r.Entry()})
 	visited[r.Entry().ID] = true
 	for len(stack) > 0 {
 		f := &stack[len(stack)-1]
 		if f.next < len(f.b.Succs) {
-			s := f.b.Succs[f.next].To
+			to := f.b.Succs[f.next].To
 			f.next++
-			if !visited[s.ID] {
-				visited[s.ID] = true
-				stack = append(stack, frame{b: s})
+			if !visited[to.ID] {
+				visited[to.ID] = true
+				stack = append(stack, frame{b: to})
 			}
 			continue
 		}
@@ -89,29 +89,13 @@ func ReversePostOrder(r *ir.Routine) *Order {
 		np++
 		stack = stack[:len(stack)-1]
 	}
-	if cap(o.Blocks) < np {
-		o.Blocks = make([]*ir.Block, np)
-	}
-	o.Blocks = o.Blocks[:np]
+	o.Blocks = s.blocks.Take(np)
 	for i := 0; i < np; i++ {
 		k := np - 1 - i
 		o.Blocks[k] = post[i]
 		o.Number[post[i].ID] = k
 	}
-	// Drop the block pointers so the pool does not pin the routine.
-	clear(post[:np])
-	clear(sc.stack[:n])
-	rpoScratchPool.Put(sc)
 	return o
-}
-
-// Release returns the Order's storage to a pool for reuse by a later
-// ReversePostOrder call. The caller must be the sole owner: the Order and
-// its slices are unusable afterwards. Releasing is optional — unreleased
-// Orders are collected normally.
-func (o *Order) Release() {
-	clear(o.Blocks) // do not pin the routine from the pool
-	orderPool.Put(o)
 }
 
 // Reachable reports whether b is reachable from the entry block.

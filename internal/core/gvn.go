@@ -3,13 +3,13 @@ package core
 import (
 	"fmt"
 	"os"
-	"sync"
 
 	"pgvn/internal/cfg"
 	"pgvn/internal/dom"
 	"pgvn/internal/expr"
 	"pgvn/internal/ir"
 	"pgvn/internal/obs"
+	"pgvn/internal/slab"
 	"pgvn/internal/ssa"
 )
 
@@ -66,41 +66,51 @@ type class struct {
 // noEdge is the sentinel dense edge id (edges are numbered by the arena).
 const noEdge ir.EdgeID = ^ir.EdgeID(0)
 
-// scratch is the recyclable part of the fixpoint state: every dense side
-// table the Result does NOT retain, recycled across routines through
-// scratchPool so a batch run (the driver walks thousands of routines) pays
-// the setup allocations roughly once per worker instead of once per
-// routine. The pool holds capacity, never a pointer into a finished
-// routine or universe: release clears every pointer-bearing table and
-// the interner before the Put, and newAnalysis clears the pointer-free
-// tables whose zero value is meaningful before carving. State the Result
+// scratch is the reusable part of the fixpoint state: every dense side
+// table the Result does NOT retain, kept in the Workspace so a batch run
+// (the driver walks thousands of routines) pays the setup allocations
+// roughly once per worker instead of once per routine. State the Result
 // escapes with (blockReach, blockPred, classOf, rank, the class structs
 // themselves) is deliberately absent: the tables are allocated fresh per
 // run, and the classes and the universe are carved from chunks the
-// Result owns until Result.Release hands them to slabPool.
+// Result owns until Result.Release hands them back.
 type scratch struct {
-	bools []bool       // backing for the pooled bool tables
-	exprs []*expr.Expr // backing for the pooled *Expr tables
-	ints  []int32      // backing for the pooled int32 tables
-
-	infMemo   []memoEntry
-	canonical [][]ir.EdgeID
-	rpoIDs    []uint32
+	bools     slab.Table[bool]
+	exprs     slab.Table[*expr.Expr]
+	ints      slab.Table[int32]
+	infMemo   slab.Table[memoEntry]
+	canonical slab.Table[[]ir.EdgeID]
+	rpoIDs    slab.Table[uint32]
 	table     map[*expr.Expr]*class
-	in        *expr.Interner
+	in        expr.Interner
 
 	// Truncation-reset operand scratch, kept for its grown capacity.
 	argbuf, phiArgs, predParts []*expr.Expr
 	ppCanonical                []ir.EdgeID
 }
 
-var scratchPool sync.Pool
+// reset zeroes what the last run was handed and empties the universe.
+// The operand buffers are truncated rather than cleared by evaluations,
+// so stale pointers sit past their length: they are cleared whole.
+func (sc *scratch) reset() {
+	sc.bools.Reset()
+	sc.exprs.Reset()
+	sc.ints.Reset()
+	sc.infMemo.Reset()
+	sc.canonical.Reset()
+	sc.rpoIDs.Reset()
+	clear(sc.table)
+	sc.in.Release()
+	sc.argbuf = clearedBuf(sc.argbuf)
+	sc.phiArgs = clearedBuf(sc.phiArgs)
+	sc.predParts = clearedBuf(sc.predParts)
+}
 
 // analysis carries the whole algorithm state for one routine. The hot
 // fixpoint operates on dense uint32 ids over the routine's frozen arena;
 // pointer-based IR access is confined to setup, the complete algorithm's
 // incremental dominator tree, and the Result boundary. The dense bool,
-// int32 and *expr.Expr side tables are carved from one pooled allocation
+// int32 and *expr.Expr side tables are carved from one workspace table
 // each, so the fixpoint state is a handful of allocations per routine.
 type analysis struct {
 	cfg     Config
@@ -126,13 +136,6 @@ type analysis struct {
 	// tree is in use and idom queries must go through the pointer oracle.
 	idomArr  []int32
 	statTree *dom.Tree // domTree when static, for id-based Dominates
-
-	// Trees and orderings this analysis built itself (as opposed to
-	// receiving via Prebuilt) are returned to their package pools at
-	// release; prebuilt ones stay owned by the caller.
-	ownOrder *cfg.Order
-	ownDom   *dom.Tree
-	ownPost  *dom.Tree
 
 	// Edge state is stored densely by the arena's edge ids
 	// (EdgeID = PredStart(to) + inIndex).
@@ -192,8 +195,8 @@ type analysis struct {
 	phiArgs   []*expr.Expr // φ argument lists
 	predParts []*expr.Expr // switch-default conjunction parts
 
-	// sc is the pooled scratch this analysis carved its non-escaping
-	// tables from; released back to scratchPool after result().
+	// sc is the workspace scratch this analysis carved its non-escaping
+	// tables from; its grown operand buffers go back to it after result().
 	sc *scratch
 
 	// classSlab and memberSlab are chunked bump arenas class structs and
@@ -208,10 +211,10 @@ type analysis struct {
 	memberSlab  []ir.InstrID
 	memberChunk int
 
-	// slabs, when a released Result left one in slabPool, records every
-	// chunk this run carves (universe, classes, members) and supplies
-	// its spare chunks; the Result takes it over. Nil otherwise: the
-	// chunks are plain allocations the collector takes with the Result.
+	// slabs, lent by the workspace on RunIn, records every chunk this
+	// run carves (universe, classes, members) and supplies its spare
+	// chunks; the Result takes it over. Nil on Run: the chunks are plain
+	// allocations the collector takes with the Result.
 	slabs *slabs
 
 	// tr receives the fixpoint event stream (nil = tracing off, the
@@ -246,7 +249,29 @@ func Run(r *ir.Routine, config Config) (*Result, error) {
 }
 
 // RunPrebuilt is Run with caller-supplied CFG analyses (see Prebuilt).
+// Its working tables come from a pooled Workspace, returned before it
+// returns; the Result is plain memory.
 func RunPrebuilt(r *ir.Routine, config Config, pre *Prebuilt) (*Result, error) {
+	w := GetWorkspace()
+	defer PutWorkspace(w)
+	return w.run(r, config, pre, false)
+}
+
+// RunIn is Run with every working table taken from w (nil allocates
+// them), and the Result's expression universe and classes carved from
+// chunks w lends it until Result.Release hands them back. The Result
+// reaches w for what opt and pre build over it; release it before w is
+// reset.
+func RunIn(w *Workspace, r *ir.Routine, config Config) (*Result, error) {
+	if w == nil {
+		w = new(Workspace)
+	}
+	return w.run(r, config, nil, true)
+}
+
+// run analyzes r in w. With lend, the Result carves from w's chunk set
+// and records w; without, it is plain memory.
+func (w *Workspace) run(r *ir.Routine, config Config, pre *Prebuilt, lend bool) (*Result, error) {
 	config = config.normalized()
 	if !r.IsSSA() {
 		return nil, fmt.Errorf("core: %s is not in SSA form (run ssa.Build first)", r.Name)
@@ -259,7 +284,7 @@ func RunPrebuilt(r *ir.Routine, config Config, pre *Prebuilt) (*Result, error) {
 	if pre == nil {
 		pre = &Prebuilt{}
 	}
-	a := newAnalysis(r, config, pre)
+	a := newAnalysis(w, r, config, pre, lend)
 	ar := a.ar
 	if a.tr == nil && debugSink {
 		// PGVN_DEBUG is an alias for a stderr text sink when no tracer
@@ -283,9 +308,7 @@ func RunPrebuilt(r *ir.Routine, config Config, pre *Prebuilt) (*Result, error) {
 		if config.Complete {
 			// Everything is reachable: the reachable dominator tree is
 			// the static tree.
-			t := dom.New(r)
-			a.domTree = t
-			a.ownDom = t
+			a.domTree = dom.NewIn(&w.ssa.Dom, r)
 			a.incDom = nil
 		}
 		for _, bID := range a.rpoIDs {
@@ -363,52 +386,18 @@ func RunPrebuilt(r *ir.Routine, config Config, pre *Prebuilt) (*Result, error) {
 		}
 	}
 	res := a.result()
-	a.release()
+	if lend {
+		res.ws = w
+	}
+	// The operand buffers may have grown: keep the larger capacity.
+	a.sc.argbuf, a.sc.phiArgs, a.sc.predParts = a.argbuf, a.phiArgs, a.predParts
+	a.sc.ppCanonical = a.ppCanonical[:0]
 	return res, nil
 }
 
-// release returns the recyclable fixpoint state — the pooled scratch and
-// the arena's index storage — for reuse by a later run. Called only after
-// result() has copied or converted everything the Result retains; error
-// paths skip it and simply let the garbage collector take the state.
-// Every pointer-bearing pooled table is cleared here, so an idle pool
-// pins nothing of this routine or its expression universe.
-func (a *analysis) release() {
-	sc := a.sc
-	if sc == nil {
-		return
-	}
-	a.sc = nil
-	sc.in.Release()
-	clear(sc.table)
-	clear(sc.exprs)
-	clear(sc.infMemo)
-	clear(sc.canonical)
-	sc.argbuf = clearedBuf(a.argbuf)
-	sc.phiArgs = clearedBuf(a.phiArgs)
-	sc.predParts = clearedBuf(a.predParts)
-	sc.ppCanonical = a.ppCanonical[:0]
-	a.ar.Release()
-	scratchPool.Put(sc)
-	// Self-built trees and orderings go back to their pools; nothing in
-	// the Result references them.
-	if a.ownOrder != nil {
-		a.ownOrder.Release()
-		a.ownOrder, a.order = nil, nil
-	}
-	if a.ownDom != nil {
-		a.ownDom.Release()
-		a.ownDom, a.domTree, a.statTree = nil, nil, nil
-	}
-	if a.ownPost != nil {
-		a.ownPost.Release()
-		a.ownPost, a.postTree = nil, nil
-	}
-}
-
-// clearedBuf empties an operand buffer for the pool, nil-ing its whole
-// backing array: evaluations truncate rather than clear, so stale
-// pointers sit past the length.
+// clearedBuf empties an operand buffer, nil-ing its whole backing
+// array: evaluations truncate rather than clear, so stale pointers sit
+// past the length.
 func clearedBuf(s []*expr.Expr) []*expr.Expr {
 	s = s[:cap(s)]
 	clear(s)
@@ -446,22 +435,19 @@ type memoEntry struct {
 }
 
 // newAnalysis builds the analysis state for one routine: the arena
-// snapshot, then every dense side table, carved from one pooled
-// allocation per element type so the fixpoint itself runs without growth
+// snapshot, then every dense side table, carved from one workspace table
+// per element type so the fixpoint itself runs without growth
 // reallocation and setup stays a handful of allocations.
-func newAnalysis(r *ir.Routine, config Config, pre *Prebuilt) *analysis {
+func newAnalysis(w *Workspace, r *ir.Routine, config Config, pre *Prebuilt, lend bool) *analysis {
 	order := pre.Order
 	if order == nil {
-		order = cfg.ReversePostOrder(r)
+		order = cfg.ReversePostOrderIn(&w.order, r)
 	}
-	ar := ir.FreezeArena(r)
+	ar := ir.FreezeArena(r, &w.ssa.IR)
 	ni := ar.NumInstrIDs()
 	nb := ar.NumBlockIDs()
 	ne := ar.NumEdges()
-	sc, _ := scratchPool.Get().(*scratch)
-	if sc == nil {
-		sc = &scratch{}
-	}
+	sc := &w.sc
 	a := &analysis{
 		cfg:      config,
 		routine:  r,
@@ -473,33 +459,27 @@ func newAnalysis(r *ir.Routine, config Config, pre *Prebuilt) *analysis {
 		tr:       config.Trace,
 		curInstr: -1,
 	}
-	a.slabs, _ = slabPool.Get().(*slabs)
-	if sc.in == nil {
-		sc.in = &expr.Interner{}
+	if lend {
+		a.slabs = w.slabs
+		if a.slabs == nil {
+			a.slabs = &slabs{}
+		}
+		w.slabs = nil
 	}
 	sc.in.Reset(2*ni, a.slabs.exprSet())
-	a.in = sc.in
+	a.in = &sc.in
 	if sc.table == nil {
 		sc.table = make(map[*expr.Expr]*class, ni)
 	}
+	clear(sc.table) // empty unless w ran a routine since its last Reset
 	a.table = sc.table
 
-	// Pooled side tables: one recycled backing per element type. The
-	// pointer-free ones are cleared here; the pointer-bearing ones
-	// (exprs, infMemo, canonical) were cleared by release and are nil
-	// past their length since allocation. Either way zeroed memory
-	// behaves exactly like a fresh run (the validity stamps
-	// ppGen/ppInitGen/infMemo compare against counters that start above
-	// zero). blockReach, blockPred and rank escape into the Result and
-	// are carved from fresh allocations instead.
-	nBool := 4*ni + 3*nb + 2*ne
-	if cap(sc.bools) < nBool {
-		sc.bools = make([]bool, nBool)
-	} else {
-		sc.bools = sc.bools[:nBool]
-		clear(sc.bools)
-	}
-	bools := sc.bools
+	// Workspace side tables: one backing per element type, handed out
+	// zeroed, so they behave exactly like a fresh run (the validity
+	// stamps ppGen/ppInitGen/infMemo compare against counters that start
+	// above zero). blockReach, blockPred and rank escape into the Result
+	// and are allocated fresh instead.
+	bools := sc.bools.Take(4*ni + 3*nb + 2*ne)
 	carveBool := func(n int) []bool {
 		s := bools[:n:n]
 		bools = bools[n:]
@@ -516,13 +496,7 @@ func newAnalysis(r *ir.Routine, config Config, pre *Prebuilt) *analysis {
 	a.edgeReach = carveBool(ne)
 	a.blockReach = make([]bool, nb)
 
-	nExpr := ni + nb + ne
-	if cap(sc.exprs) < nExpr {
-		sc.exprs = make([]*expr.Expr, nExpr)
-	} else {
-		sc.exprs = sc.exprs[:nExpr]
-	}
-	exprs := sc.exprs
+	exprs := sc.exprs.Take(ni + nb + ne)
 	carveExpr := func(n int) []*expr.Expr {
 		s := exprs[:n:n]
 		exprs = exprs[n:]
@@ -533,14 +507,7 @@ func newAnalysis(r *ir.Routine, config Config, pre *Prebuilt) *analysis {
 	a.edgePred = carveExpr(ne)
 	a.blockPred = make([]*expr.Expr, nb)
 
-	nInt := 3 * nb
-	if cap(sc.ints) < nInt {
-		sc.ints = make([]int32, nInt)
-	} else {
-		sc.ints = sc.ints[:nInt]
-		clear(sc.ints)
-	}
-	ints := sc.ints
+	ints := sc.ints.Take(3 * nb)
 	carveInt := func(n int) []int32 {
 		s := ints[:n:n]
 		ints = ints[n:]
@@ -551,23 +518,9 @@ func newAnalysis(r *ir.Routine, config Config, pre *Prebuilt) *analysis {
 	a.idomArr = carveInt(nb) // filled by bindDomArrays (practical mode)
 	a.rank = make([]int32, ni)
 
-	if cap(sc.infMemo) < ni {
-		sc.infMemo = make([]memoEntry, ni)
-	} else {
-		sc.infMemo = sc.infMemo[:ni]
-	}
-	a.infMemo = sc.infMemo
-	if cap(sc.canonical) < nb {
-		sc.canonical = make([][]ir.EdgeID, nb)
-	} else {
-		sc.canonical = sc.canonical[:nb]
-	}
-	a.canonical = sc.canonical
-	nOrd := len(order.Blocks)
-	if cap(sc.rpoIDs) < nOrd {
-		sc.rpoIDs = make([]uint32, nOrd)
-	}
-	a.rpoIDs = sc.rpoIDs[:nOrd]
+	a.infMemo = sc.infMemo.Take(ni)
+	a.canonical = sc.canonical.Take(nb)
+	a.rpoIDs = sc.rpoIDs.Take(len(order.Blocks))
 	a.argbuf = sc.argbuf[:0]
 	a.phiArgs = sc.phiArgs[:0]
 	a.predParts = sc.predParts[:0]
@@ -596,8 +549,7 @@ func newAnalysis(r *ir.Routine, config Config, pre *Prebuilt) *analysis {
 
 	a.postTree = pre.Post
 	if a.postTree == nil {
-		a.postTree = dom.NewPost(r)
-		a.ownPost = a.postTree
+		a.postTree = dom.NewPostIn(&w.ssa.Dom, r)
 	}
 	if config.Complete {
 		// The complete algorithm maintains the dominator tree of the
@@ -607,12 +559,7 @@ func newAnalysis(r *ir.Routine, config Config, pre *Prebuilt) *analysis {
 	} else if pre.Dom != nil {
 		a.domTree = pre.Dom
 	} else {
-		t := dom.New(r)
-		a.domTree = t
-		a.ownDom = t
-	}
-	if pre.Order == nil {
-		a.ownOrder = order
+		a.domTree = dom.NewIn(&w.ssa.Dom, r)
 	}
 	return a
 }

@@ -1,10 +1,9 @@
 package core
 
 import (
-	"sync"
-
 	"pgvn/internal/expr"
 	"pgvn/internal/ir"
+	"pgvn/internal/slab"
 )
 
 // ClassID is a dense congruence-class identifier in a Partition. IDs run
@@ -31,30 +30,29 @@ type Partition struct {
 	numInstrIDs int
 	classOf     []ClassID // by instruction ID; NoClass when undetermined
 	classes     []partClass
-	arena       []*ir.Instr // backing storage the member lists are carved from
 }
 
-// partScratch holds Partition-construction state that never escapes the
-// build: the instruction lookup and the first-encounter bookkeeping.
-type partScratch struct {
-	byID   []*ir.Instr
-	uniq   []*class
-	counts []int
+// partTables is the storage of one Partition and the first-encounter
+// bookkeeping of its build; a Workspace keeps one.
+type partTables struct {
+	part    Partition
+	classOf slab.Table[ClassID]
+	classes slab.Table[partClass]
+	members slab.Table[*ir.Instr] // the member lists are carved from it
+	byID    slab.Table[*ir.Instr]
+	uniq    slab.Table[*class]
+	counts  slab.Table[int]
 }
 
-var (
-	partitionPool   sync.Pool
-	partScratchPool sync.Pool
-)
-
-// Release returns the Partition's storage to a pool for reuse by a later
-// Partition call. The caller must be the sole owner: the Partition and
-// every slice obtained from it (Members) is unusable afterwards.
-// Releasing is optional — unreleased Partitions are collected normally.
-func (p *Partition) Release() {
-	clear(p.arena) // do not pin the routine's instructions from the pool
-	clear(p.classes)
-	partitionPool.Put(p)
+// reset zeroes every table the last Partition was handed.
+func (t *partTables) reset() {
+	t.part = Partition{}
+	t.classOf.Reset()
+	t.classes.Reset()
+	t.members.Reset()
+	t.byID.Reset()
+	t.uniq.Reset()
+	t.counts.Reset()
 }
 
 type partClass struct {
@@ -67,27 +65,20 @@ type partClass struct {
 // Partition builds the dense read-only view of r's congruence partition.
 // Class ids are assigned in first-encounter order over blocks and
 // instructions, so two calls on the same Result yield identical ids.
-// The build stamps scratch state onto the analysis classes, so Partition
+// For a RunIn Result the Partition is built in the workspace and is
+// valid until the next Partition of that workspace or its reset. The
+// build stamps scratch state onto the analysis classes, so Partition
 // must not be called concurrently on the same Result (built Partitions
 // are themselves safe for concurrent readers).
 func (r *Result) Partition() *Partition {
-	p, _ := partitionPool.Get().(*Partition)
-	if p == nil {
-		p = &Partition{}
+	t := &partTables{}
+	if r.ws != nil {
+		t = &r.ws.part
 	}
-	p.numInstrIDs = r.Routine.NumInstrIDs()
-	if cap(p.classOf) < p.numInstrIDs {
-		p.classOf = make([]ClassID, p.numInstrIDs)
-	}
-	p.classOf = p.classOf[:p.numInstrIDs]
-	sc, _ := partScratchPool.Get().(*partScratch)
-	if sc == nil {
-		sc = &partScratch{}
-	}
-	if cap(sc.byID) < p.numInstrIDs {
-		sc.byID = make([]*ir.Instr, p.numInstrIDs)
-	}
-	byID := sc.byID[:p.numInstrIDs] // nil: cleared before every Put
+	n := r.Routine.NumInstrIDs()
+	p := &t.part
+	*p = Partition{numInstrIDs: n, classOf: t.classOf.Take(n)}
+	byID := t.byID.Take(n)
 	for k := range p.classOf {
 		p.classOf[k] = NoClass
 	}
@@ -96,8 +87,8 @@ func (r *Result) Partition() *Partition {
 	// structs (class.dense, id+1) instead of keyed through a map — the
 	// map dominated driver batch profiles. The stamps are reset below,
 	// so Partition must not run concurrently on one Result.
-	uniq := sc.uniq[:0]
-	counts := sc.counts[:0]
+	uniq := t.uniq.Take(n)[:0]
+	counts := t.counts.Take(n)[:0]
 	for _, b := range r.Routine.Blocks {
 		for _, i := range b.Instrs {
 			if !i.HasValue() || i.ID >= p.numInstrIDs {
@@ -118,10 +109,7 @@ func (r *Result) Partition() *Partition {
 			counts[id]++
 		}
 	}
-	if cap(p.classes) < len(uniq) {
-		p.classes = make([]partClass, len(uniq))
-	}
-	p.classes = p.classes[:len(uniq)] // zero: Release clears before the Put
+	p.classes = t.classes.Take(len(uniq))
 	for k, c := range uniq {
 		c.dense = 0
 		pc := &p.classes[k]
@@ -137,11 +125,7 @@ func (r *Result) Partition() *Partition {
 	for _, n := range counts {
 		total += n
 	}
-	if cap(p.arena) < total {
-		p.arena = make([]*ir.Instr, total)
-	}
-	p.arena = p.arena[:total]
-	arena := p.arena
+	arena := t.members.Take(total)
 	off := 0
 	for k := range p.classes {
 		p.classes[k].members = arena[off : off : off+counts[k]]
@@ -154,11 +138,6 @@ func (r *Result) Partition() *Partition {
 		c := p.classOf[id]
 		p.classes[c].members = append(p.classes[c].members, i)
 	}
-	clear(byID) // drop the instruction and class pointers so the pool
-	clear(uniq) // does not pin them
-	sc.uniq = uniq[:0]
-	sc.counts = counts[:0]
-	partScratchPool.Put(sc)
 	return p
 }
 

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 
 	"pgvn/internal/expr"
 	"pgvn/internal/ir"
@@ -31,21 +30,18 @@ type Result struct {
 	blockPred  []*expr.Expr
 	canonical  [][]*ir.Edge
 	slabs      *slabs
+	ws         *Workspace // RunIn's workspace, nil for Run
 }
 
 // slabs is the chunk set of one analysis: the expression universe's node
 // and payload chunks and the congruence classes' class and member chunks.
-// A Result owns its set until Release zeroes it and puts it in slabPool,
-// from which the next analysis carves.
+// A Result owns its set until Release zeroes it and hands it back to the
+// workspace that lent it, for the next analysis to carve from.
 type slabs struct {
 	expr    expr.Slabs
 	classes slab.Chunks[class]
 	members slab.Chunks[ir.InstrID]
 }
-
-// slabPool holds chunk sets released Results returned: capacity only,
-// every chunk cleared whole (DESIGN §17).
-var slabPool sync.Pool
 
 // exprSet, classSet and memberSet return s's chunk sets, nil when s is.
 func (s *slabs) exprSet() *expr.Slabs {
@@ -69,27 +65,28 @@ func (s *slabs) memberSet() *slab.Chunks[ir.InstrID] {
 	return &s.members
 }
 
-// Release declares r finished: the universe's node, argument, term and
-// factor chunks and the class and member chunks its run carved go back,
-// cleared, to one pool for the next run. Every field of r is dropped, so
-// a query after Release panics rather than read recycled memory. Nothing
-// derived from r — its predicates, class expressions, a Partition — may
-// be used afterwards. A run that took no chunk set from the pool (the
-// pool starts empty) recorded nothing; releasing it leaves an empty set
-// in the pool instead, so the runs after it recycle. Callers that never
-// release lose nothing: their chunks are ordinary garbage.
+// Release declares r finished. For a RunIn Result, the universe's node,
+// argument, term and factor chunks and the class and member chunks its
+// run carved go back, cleared, to the workspace that lent them. Every
+// field of r is dropped, so a query after Release panics rather than
+// read recycled memory. Nothing derived from r — its predicates, class
+// expressions, a Partition — may be used afterwards. A Run Result holds
+// plain memory: releasing it only drops its fields.
 func (r *Result) Release() {
-	s := r.slabs
+	w, s := r.ws, r.slabs
 	*r = Result{}
-	if s == nil {
-		s = &slabs{}
-	} else {
-		s.expr.Clear()
-		s.classes.Clear()
-		s.members.Clear()
+	if w == nil {
+		return
 	}
-	slabPool.Put(s)
+	s.expr.Clear()
+	s.classes.Clear()
+	s.members.Clear()
+	w.slabs = s
 }
+
+// Workspace returns the workspace RunIn analyzed r in, nil for a Run
+// Result. opt and pre build their trees and tables in it.
+func (r *Result) Workspace() *Workspace { return r.ws }
 
 // result packages the analysis state. The fixpoint stores per-edge state
 // densely by arena edge id; the public Result keeps an edge-keyed

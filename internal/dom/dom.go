@@ -27,51 +27,46 @@ type Tree struct {
 	contained []bool
 	// pre/postNum give the Euler-tour interval of each block in the tree
 	// (virtual exit excluded), for O(1) dominance queries. Both are carved
-	// from nums so a pooled tree recycles one backing allocation.
-	nums            []int
+	// from one table.
 	preNum, postNum []int
 	// children[blockID] lists tree children in deterministic order; the
-	// lists are carved CSR-style from flat.
+	// lists are carved CSR-style from one table.
 	children [][]*ir.Block
-	flat     []*ir.Block
 	// rootBlocks lists the tree roots among real blocks: for a forward
 	// tree, just the entry; for a postdominator tree, the real-block
 	// children of the virtual exit.
 	rootBlocks []*ir.Block
-	// Frontier's result and scratch, kept with the tree so a pooled
-	// tree recycles them: df[blockID] is carved from dfFlat, and
-	// dfInts holds the runner counts and join stamps.
-	df     [][]*ir.Block
-	dfFlat []*ir.Block
-	dfInts []int32
+	// tab is the storage every table above and Frontier's result are
+	// taken from.
+	tab treeTables
 }
 
 // New computes the dominator tree of the routine's full CFG.
-func New(r *ir.Routine) *Tree {
-	return NewReachable(r, nil)
-}
+func New(r *ir.Routine) *Tree { return NewIn(nil, r) }
 
-// NewReachable computes the dominator tree of the subgraph of the routine
-// containing only edges for which edgeIn returns true (all edges when
-// edgeIn is nil), starting from the entry block. Blocks not reachable
-// through such edges are excluded from the tree.
-func NewReachable(r *ir.Routine, edgeIn func(*ir.Edge) bool) *Tree {
+// NewIn is New building in s's dominator-tree slot (nil allocates). The
+// tree is valid until s builds another dominator tree or is reset.
+func NewIn(s *Scratch, r *ir.Routine) *Tree { return newReachable(s, r, nil) }
+
+// newReachable computes the dominator tree of the subgraph of the
+// routine containing only edges for which edgeIn returns true (all edges
+// when edgeIn is nil), starting from the entry block, in s. Blocks not
+// reachable through such edges are excluded from the tree.
+func newReachable(s *Scratch, r *ir.Routine, edgeIn func(*ir.Edge) bool) *Tree {
 	n := r.NumBlockIDs()
-	t := getTree(r, false, n)
-	cs := getConstr()
-	defer cs.release()
+	t, cs := s.start(r, false, n)
 
 	// RPO of the subgraph. t.contained doubles as the DFS visited set —
 	// exactly the blocks the DFS reaches are contained.
-	rpoNum := cs.intsN(n)
+	rpoNum := cs.ints.Take(n)
 	for i := range rpoNum {
 		rpoNum[i] = -1
 	}
 	seen := t.contained
 	// DFS stack depth and post-order length are bounded by the block
 	// count, so the carved capacities below never grow.
-	stack := cs.bframesN(n)
-	blocks := cs.blocksN(2 * n)
+	stack := cs.bframes.Take(n)[:0]
+	blocks := cs.blocks.Take(2 * n)
 	postOrd, np := blocks[:n], 0
 	stack = append(stack, bframe{b: r.Entry()})
 	seen[r.Entry().ID] = true
@@ -102,7 +97,7 @@ func NewReachable(r *ir.Routine, edgeIn func(*ir.Edge) bool) *Tree {
 	}
 
 	// Iterative idom computation (Cooper–Harvey–Kennedy), written into
-	// the tree's (cleared) idom array directly.
+	// the tree's (zeroed) idom array directly.
 	idom := t.idom
 	entry := r.Entry()
 	idom[entry.ID] = entry
@@ -156,7 +151,7 @@ func NewReachable(r *ir.Routine, edgeIn func(*ir.Edge) bool) *Tree {
 func (t *Tree) finish(order []*ir.Block, cs *constrScratch) {
 	n := len(t.idom)
 	// CSR child lists: count per parent (preNum doubles as the counting
-	// scratch — the Euler tour below rewrites it; getTree zeroed it),
+	// scratch — the Euler tour below rewrites it; start zeroed it),
 	// carve one flat payload, fill in order so parents precede children
 	// deterministically.
 	nc := 0
@@ -166,11 +161,7 @@ func (t *Tree) finish(order []*ir.Block, cs *constrScratch) {
 			nc++
 		}
 	}
-	if cap(t.flat) < nc {
-		t.flat = make([]*ir.Block, nc)
-	}
-	t.flat = t.flat[:nc]
-	flat := t.flat
+	flat := t.tab.flat.Take(nc)
 	off := 0
 	for i := 0; i < n; i++ {
 		c := t.preNum[i]
@@ -186,7 +177,7 @@ func (t *Tree) finish(order []*ir.Block, cs *constrScratch) {
 		t.preNum[i] = -1
 	}
 	clock := 0
-	stack := cs.bframesN(n)
+	stack := cs.bframes.Take(n)[:0]
 	for _, root := range t.rootBlocks {
 		stack = append(stack, bframe{b: root})
 		t.preNum[root.ID] = clock
@@ -242,15 +233,11 @@ func (t *Tree) StrictlyDominates(a, b *ir.Block) bool {
 // block ID; entries for non-contained blocks are nil. The runner walk
 // runs twice, once to count each frontier and once to fill it, so every
 // frontier is carved from one backing array. The tree owns that storage:
-// the result is valid until the tree is released or Frontier runs again.
+// the result is valid until the tree is rebuilt or Frontier runs again.
 func (t *Tree) Frontier() [][]*ir.Block {
 	n := len(t.idom)
-	if cap(t.dfInts) < 2*n {
-		t.dfInts = make([]int32, 2*n)
-	}
-	t.dfInts = t.dfInts[:2*n]
-	clear(t.dfInts)
-	count, last := t.dfInts[:n], t.dfInts[n:]
+	ints := t.tab.dfInts.Take(2 * n)
+	count, last := ints[:n], ints[n:]
 	// runners calls visit(runner, b) once for every block b in runner's
 	// frontier. last[x] holds 1 + the id of the join block x last
 	// received: b's insertions all happen in one iteration of the outer
@@ -293,18 +280,9 @@ func (t *Tree) Frontier() [][]*ir.Block {
 		count[runner.ID]++
 		total++
 	})
-	// Clearing the previous result's used prefixes leaves both tables
-	// nil-filled, which the nil entries of non-contained blocks need.
-	clear(t.df)
-	clear(t.dfFlat)
-	if cap(t.df) < n {
-		t.df = make([][]*ir.Block, n)
-	}
-	if cap(t.dfFlat) < total {
-		t.dfFlat = make([]*ir.Block, total)
-	}
-	t.df, t.dfFlat = t.df[:n], t.dfFlat[:total]
-	df, slab := t.df, t.dfFlat
+	// Both tables come zeroed, which the nil entries of non-contained
+	// blocks need.
+	df, slab := t.tab.df.Take(n), t.tab.dfFlat.Take(total)
 	for id, c := range count {
 		if c > 0 {
 			df[id] = slab[:0:c]

@@ -10,18 +10,20 @@ import "pgvn/internal/ir"
 //
 // On the returned tree, Dominates(a, b) reads "a postdominates b"; IDom
 // returns the immediate postdominator (nil when it is the virtual exit).
-func NewPost(r *ir.Routine) *Tree {
+func NewPost(r *ir.Routine) *Tree { return NewPostIn(nil, r) }
+
+// NewPostIn is NewPost building in s's postdominator-tree slot (nil
+// allocates). The tree is valid until s builds another postdominator
+// tree or is reset.
+func NewPostIn(s *Scratch, r *ir.Routine) *Tree {
 	n := r.NumBlockIDs()
-	t := getTree(r, true, n)
-	cs := getConstr()
-	defer cs.release()
+	t, cs := s.start(r, true, n)
 	virtual := n // index of the virtual exit in the int-based arrays
 
 	// One blocks carve per construction: byID stays live through the CHK
 	// loop, exits through the DFS, order through finish.
-	blocks := cs.blocksN(3 * n)
+	blocks := cs.blocks.Take(3 * n)
 	byID := blocks[:n]
-	clear(byID)
 	for _, b := range r.Blocks {
 		byID[b.ID] = b
 	}
@@ -36,7 +38,7 @@ func NewPost(r *ir.Routine) *Tree {
 	// reverse graph is the deterministic Preds order. All int arrays are
 	// one carve; the post-order length is bounded by n+1 nodes.
 	nv := n + 1
-	ints := cs.intsN(4 * nv)
+	ints := cs.ints.Take(4 * nv)
 	rpoNum := ints[:nv]
 	idom := ints[nv : 2*nv]
 	postOrd := ints[2*nv : 2*nv : 3*nv]
@@ -45,9 +47,9 @@ func NewPost(r *ir.Routine) *Tree {
 		rpoNum[i] = -1
 		idom[i] = -1
 	}
-	seen := cs.boolsN(nv)
+	seen := cs.bools.Take(nv)
 	seen[virtual] = true
-	stack := cs.iframesN(nv)
+	stack := cs.iframes.Take(nv)[:0]
 	stack = append(stack, iframe{id: virtual})
 	for len(stack) > 0 {
 		f := &stack[len(stack)-1]
@@ -123,7 +125,7 @@ func NewPost(r *ir.Routine) *Tree {
 		}
 	}
 
-	// t.idom and t.contained were cleared by getTree; only contained
+	// t.idom and t.contained were zeroed by start; only contained
 	// blocks are written.
 	order := blocks[2*n : 2*n : 3*n]
 	for _, id := range orderIDs {

@@ -18,10 +18,12 @@
 //     key, so checked and unchecked results never mix.
 //
 // Input routines are never mutated: every worker builds the SSA form of
-// its routine as a new routine (ssa.BuildFrom) and works on that. Once a
-// routine's text and report are taken, the worker releases that SSA
-// routine and its analysis Result, so their storage serves the next
-// routine instead of the garbage collector.
+// its routine as a new routine (ssa.BuildFrom) and works on that. Each
+// worker holds one core.Workspace for the batch, which every stage of a
+// routine takes its tables from. Once a routine's text and report are
+// taken, the worker releases that SSA routine and its analysis Result
+// and resets the workspace, so their storage serves the next routine
+// instead of the garbage collector.
 package driver
 
 import (
@@ -168,14 +170,17 @@ func (d *Driver) Run(ctx context.Context, routines []*ir.Routine) *Batch {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			ws := core.GetWorkspace()
+			defer core.PutWorkspace(ws)
 			var busy time.Duration
 			for i := range queue {
 				if m != nil {
 					m.Histogram("driver.queue_wait_ns").Observe(int64(time.Since(enqueued[i])))
 				}
-				ws := time.Now()
-				b.Results[i] = d.one(parent, i, routines[i])
-				busy += time.Since(ws)
+				start := time.Now()
+				b.Results[i] = d.one(ws, parent, i, routines[i])
+				ws.Reset()
+				busy += time.Since(start)
 			}
 			if m != nil {
 				m.Histogram("driver.worker_busy_ns").Observe(int64(busy))
@@ -219,12 +224,12 @@ dispatch:
 	return b
 }
 
-// one runs the pipeline for a single routine, converting a panic into a
-// RoutineError so one bad routine cannot take down the batch. parent is
-// the enclosing request span (nil when untraced): each routine gets a
-// child span, and each computed stage a grandchild, so distributed
-// traces descend to individual fixpoint runs.
-func (d *Driver) one(parent *obs.Span, idx int, r *ir.Routine) (rr RoutineResult) {
+// one runs the pipeline for a single routine in the workspace ws,
+// converting a panic into a RoutineError so one bad routine cannot take
+// down the batch. parent is the enclosing request span (nil when
+// untraced): each routine gets a child span, and each computed stage a
+// grandchild, so distributed traces descend to individual fixpoint runs.
+func (d *Driver) one(ws *core.Workspace, parent *obs.Span, idx int, r *ir.Routine) (rr RoutineResult) {
 	start := time.Now()
 	m := d.cfg.Metrics
 	tr := d.cfg.Trace.Tracer(idx, r.Name)
@@ -331,7 +336,7 @@ func (d *Driver) one(parent *obs.Span, idx int, r *ir.Routine) (rr RoutineResult
 	// routine of its own: r is never mutated and no pseudo-instruction
 	// is ever copied.
 	_, endSSA := stage("ssa")
-	work, err := ssa.BuildFrom(r, d.cfg.Placement)
+	work, err := ssa.BuildFromIn(ws.SSA(), r, d.cfg.Placement)
 	endSSA()
 	if err != nil {
 		rr.Err = &RoutineError{Index: idx, Routine: r.Name, Stage: "ssa", Err: err}
@@ -345,7 +350,7 @@ func (d *Driver) one(parent *obs.Span, idx int, r *ir.Routine) (rr RoutineResult
 	coreCfg := d.cfg.Core
 	coreCfg.Trace = tr
 	_, endGVN := stage("gvn")
-	res, err := core.Run(work, coreCfg)
+	res, err := core.RunIn(ws, work, coreCfg)
 	endGVN()
 	if err != nil {
 		rr.Err = &RoutineError{Index: idx, Routine: r.Name, Stage: "gvn", Err: err}
@@ -418,8 +423,8 @@ func (d *Driver) one(parent *obs.Span, idx int, r *ir.Routine) (rr RoutineResult
 	}
 	// Text and Report are copies: the SSA routine, the Result and the
 	// expression universe behind it are dead, so their storage goes back
-	// to the pools for the next routine. Failed routines skip this and
-	// leave theirs to the collector.
+	// to the workspace for the next routine. Failed routines skip this
+	// and leave theirs to the collector.
 	res.Release()
 	work.Release()
 	return rr

@@ -60,7 +60,7 @@ func TestParallelMatchesSequential(t *testing.T) {
 // TestRecycledBatchesMatchFresh: the driver releases every finished
 // routine's SSA form and analysis Result, so later routines carve from
 // recycled memory. Recycling must change no byte: a Jobs: 1 batch and
-// two Jobs: 4 batches in a row, the second over pools the first filled,
+// two Jobs: 4 batches in a row, the second over workspaces the first filled,
 // all equal the pipeline run routine by routine with nothing released.
 // PRE is on, so the optimizer also grows the recycled routines.
 func TestRecycledBatchesMatchFresh(t *testing.T) {

@@ -140,6 +140,9 @@ type Interner struct {
 	terms   []Term
 	factors []ValueRef
 	flat    []*Expr
+	// termsHigh and flatHigh are how far terms and flat reached since
+	// the last Release, which clears only that much.
+	termsHigh, flatHigh int
 
 	// Bump chunks canonical nodes and their payloads are carved from, so
 	// an intern miss costs a slab advance instead of two heap objects.
@@ -286,19 +289,35 @@ func (in *Interner) Reset(hint int, s *Slabs) {
 
 // Release empties the universe and drops every pointer into it, keeping
 // only capacity: the bucket table and the pointer-bearing scratch arenas
-// are cleared, and the slab chunks and the Slabs they were recorded in
-// are let go. An Interner parked in a pool after Release pins nothing of
-// the routine it last served.
+// are cleared over what they were handed, and the slab chunks and the
+// Slabs they were recorded in are let go. An Interner kept in a workspace
+// after Release pins nothing of the routine it last served.
 func (in *Interner) Release() {
 	if in.count > 0 {
 		clear(in.tab)
 		in.count = 0
 	}
-	clear(in.terms[:cap(in.terms)])
-	clear(in.flat[:cap(in.flat)])
-	in.terms, in.factors, in.flat = in.terms[:0], in.factors[:0], in.flat[:0]
+	in.cutTerms(0, 0)
+	in.cutFlat(0)
+	clear(in.terms[:in.termsHigh])
+	clear(in.flat[:in.flatHigh])
+	in.termsHigh, in.flatHigh = 0, 0
 	in.nodes, in.argSlab, in.termSlab, in.facSlab = nil, nil, nil, nil
 	in.nodeSet, in.argSet, in.termSet, in.facSet = nil, nil, nil, nil
+}
+
+// cutTerms truncates the term and factor scratch back to tbase and
+// fbase, recording how far the terms reached.
+func (in *Interner) cutTerms(tbase, fbase int) {
+	in.termsHigh = max(in.termsHigh, len(in.terms))
+	in.terms, in.factors = in.terms[:tbase], in.factors[:fbase]
+}
+
+// cutFlat truncates the operand scratch back to base, recording how far
+// it reached.
+func (in *Interner) cutFlat(base int) {
+	in.flatHigh = max(in.flatHigh, len(in.flat))
+	in.flat = in.flat[:base]
 }
 
 func (in *Interner) bucket(h uint64) *Expr {
@@ -502,7 +521,7 @@ func (in *Interner) And(ops ...*Expr) *Expr {
 			continue
 		}
 		if o.IsFalse() {
-			in.flat = in.flat[:base]
+			in.cutFlat(base)
 			return smallConsts[128]
 		}
 		if o.Kind == And {
@@ -520,7 +539,7 @@ func (in *Interner) And(ops ...*Expr) *Expr {
 	default:
 		e = in.internNode(And, 0, "", flat)
 	}
-	in.flat = in.flat[:base]
+	in.cutFlat(base)
 	return e
 }
 
@@ -607,7 +626,7 @@ func (in *Interner) Add(a, b *Expr, limit int) *Expr {
 	in.appendTerms(a)
 	in.appendTerms(b)
 	e := in.internSum(normalizeTerms(in.terms[tbase:]))
-	in.terms, in.factors = in.terms[:tbase], in.factors[:fbase]
+	in.cutTerms(tbase, fbase)
 	return e
 }
 
@@ -632,7 +651,7 @@ func (in *Interner) Sub(a, b *Expr, limit int) *Expr {
 		in.terms[i].Coeff = -in.terms[i].Coeff
 	}
 	e := in.internSum(normalizeTerms(in.terms[tbase:]))
-	in.terms, in.factors = in.terms[:tbase], in.factors[:fbase]
+	in.cutTerms(tbase, fbase)
 	return e
 }
 
@@ -647,7 +666,7 @@ func (in *Interner) Neg(a *Expr) *Expr {
 		in.terms[i].Coeff = -in.terms[i].Coeff
 	}
 	e := in.internSum(normalizeTerms(in.terms[tbase:]))
-	in.terms, in.factors = in.terms[:tbase], in.factors[:fbase]
+	in.cutTerms(tbase, fbase)
 	return e
 }
 
@@ -693,7 +712,7 @@ func (in *Interner) Mul(a, b *Expr, limit int) *Expr {
 		}
 	}
 	e := in.internSum(normalizeTerms(in.terms[pbase:]))
-	in.terms, in.factors = in.terms[:tbase], in.factors[:fbase]
+	in.cutTerms(tbase, fbase)
 	return e
 }
 
@@ -739,7 +758,7 @@ func (in *Interner) Canon(e *Expr) *Expr {
 			in.flat = append(in.flat, in.Canon(a))
 		}
 		out := in.internNode(e.Kind, e.Op, e.Name, in.flat[base:])
-		in.flat = in.flat[:base]
+		in.cutFlat(base)
 		return out
 	}
 }

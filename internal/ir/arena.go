@@ -1,12 +1,10 @@
 package ir
 
-import "sync"
-
 // This file implements the arena (struct-of-arrays) view of a routine:
 // instructions, operands, use lists, block membership and CFG edges
 // flattened into dense slices addressed by uint32 ids, carved from one
-// counted allocation per routine and freed wholesale when the consumer
-// drops the Arena. The pointer-based API remains the mutable
+// counted table per routine that a Scratch keeps for the next one. The
+// pointer-based API remains the mutable
 // representation; an Arena is an immutable snapshot of it, built in one
 // pass by FreezeArena, over which analyses (notably the GVN fixpoint in
 // internal/core) iterate without chasing *Instr/*Block pointers.
@@ -47,10 +45,6 @@ type Arena struct {
 	numBlockIDs int
 	numEdges    int
 
-	// pool is the single counted allocation every uint32 slice below is
-	// carved from; dropping the Arena frees the whole snapshot at once.
-	pool []uint32
-
 	op      []Op // by InstrID; OpInvalid marks holes
 	blockOf []BlockID
 	argOff  []uint32 // len numInstrIDs+1: CSR offsets into args
@@ -71,41 +65,14 @@ type Arena struct {
 
 	instrPtr []*Instr // by InstrID; nil for holes
 	blockPtr []*Block // by BlockID; nil for holes
-
-	// store is the recyclable index storage this arena was carved from;
-	// nil after Release.
-	store *freezeStore
-}
-
-// freezeStore is the recyclable backing of one frozen arena: the counted
-// uint32 pool and the opcode table, both pointer-free so recycling them
-// removes the bulk of a freeze's allocation and GC-scan cost. The pointer
-// tables (instrPtr, blockPtr) are never recycled — consumers hand them
-// out past the arena's lifetime (see InstrPtrs).
-type freezeStore struct {
-	pool []uint32
-	op   []Op
-}
-
-var freezePool sync.Pool
-
-// Release returns the arena's index storage to a process-wide pool for
-// reuse by a later FreezeArena. The arena must not be used afterwards;
-// the pointer table previously obtained via InstrPtrs stays valid.
-func (a *Arena) Release() {
-	st := a.store
-	if st == nil {
-		return
-	}
-	a.store = nil
-	a.pool = nil
-	a.op = nil
-	freezePool.Put(st)
 }
 
 // FreezeArena builds the struct-of-arrays snapshot of r. All uint32
-// index data is carved from one counted allocation.
-func FreezeArena(r *Routine) *Arena {
+// index data is carved from one counted table and the opcodes from
+// another, both taken from s (nil allocates them); the arena is valid
+// until s is reset or freezes another routine. The pointer tables
+// (InstrPtrs) are allocated per arena, as consumers keep them past it.
+func FreezeArena(r *Routine, s *Scratch) *Arena {
 	ni := r.NumInstrIDs()
 	nb := r.NumBlockIDs()
 
@@ -131,28 +98,8 @@ func FreezeArena(r *Routine) *Arena {
 		nb + nb + // phiEnd, term
 		(nb + 1) + nEdges + nEdges + // predOff, edgeFrom, edgeTo
 		(nb + 1) + nEdges // succOff, succEdge
-	st, _ := freezePool.Get().(*freezeStore)
-	if st == nil {
-		st = &freezeStore{}
-	}
-	a.store = st
-	// Recycled memory is dirty and every offset table is built by
-	// accumulation, so the reused prefix is cleared wholesale (a uint32
-	// memclr — no write barriers).
-	if cap(st.pool) < total {
-		st.pool = make([]uint32, total)
-	} else {
-		st.pool = st.pool[:total]
-		clear(st.pool)
-	}
-	if cap(st.op) < ni {
-		st.op = make([]Op, ni)
-	} else {
-		st.op = st.op[:ni]
-		clear(st.op)
-	}
-	a.pool = st.pool
-	pool := a.pool
+	s = s.orNew()
+	pool := s.pool.Take(total)
 	carve := func(n int) []uint32 {
 		s := pool[:n:n]
 		pool = pool[n:]
@@ -173,7 +120,7 @@ func FreezeArena(r *Routine) *Arena {
 	a.succOff = carve(nb + 1)
 	a.succEdge = carve(nEdges)
 
-	a.op = st.op
+	a.op = s.op.Take(ni)
 	a.instrPtr = make([]*Instr, ni)
 	a.blockPtr = make([]*Block, nb)
 

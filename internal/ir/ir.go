@@ -367,7 +367,7 @@ type Routine struct {
 	argChunk   int
 
 	// store is the storage MaterializeSSA carved the routine from, which
-	// Release recycles; nil for every other routine.
+	// Release hands back to its Scratch; nil for every other routine.
 	store *ssaStore
 }
 

@@ -1,6 +1,6 @@
 package ir
 
-import "sync"
+import "pgvn/internal/slab"
 
 // SSAPlan is a complete SSA construction over a routine in variable
 // form, computed read-only by package ssa: which φs to place, what each
@@ -132,63 +132,43 @@ func readValue(p *SSAPlan, a *Instr) int32 {
 // ssaStore is the storage MaterializeSSA carves one routine from: its
 // blocks, instructions, instruction-pointer slots (arguments, use lists,
 // block instruction lists, parameters), edges, edge-pointer slots, switch
-// cases and block list. Each table's length is what the last routine was
-// handed of it and its capacity the high-water mark, kept apart from the
-// cap-limited carves handed to the routine, so a store that served a
-// large routine still has that capacity for the next one. Past its
-// length a table is zero.
+// cases and block list. Each table is taken once per routine, so a store
+// that served a large routine keeps that capacity for the next one.
 type ssaStore struct {
-	blocks   []Block
-	instrs   []Instr
-	ptrs     []*Instr
-	edges    []Edge
-	edgePtrs []*Edge
-	cases    []int64
-	blockPtr []*Block
+	blocks   slab.Table[Block]
+	instrs   slab.Table[Instr]
+	ptrs     slab.Table[*Instr]
+	edges    slab.Table[Edge]
+	edgePtrs slab.Table[*Edge]
+	cases    slab.Table[int64]
+	blockPtr slab.Table[*Block]
+	home     *Scratch // where Release hands the store back; nil drops it
 }
 
-// storePool holds stores of released routines, every table cleared
-// whole (DESIGN §17).
-var storePool sync.Pool
-
-// take hands out the first n entries of *s, zeroed, growing *s when its
-// capacity is short, and leaves *s n long. Tables of a pooled store are
-// zero, having been cleared at release, and so is a new one.
-func take[T any](s *[]T, n int) []T {
-	if cap(*s) < n {
-		*s = make([]T, n)
-	}
-	*s = (*s)[:n]
-	return (*s)[:n:n]
-}
-
-// clear zeroes what the last routine was handed of every table, which
-// leaves every table zero whole.
-func (st *ssaStore) clear() {
-	clear(st.blocks)
-	clear(st.instrs)
-	clear(st.ptrs)
-	clear(st.edges)
-	clear(st.edgePtrs)
-	clear(st.cases)
-	clear(st.blockPtr)
-}
-
-// Release declares r finished and returns the storage MaterializeSSA
-// carved it from, cleared, to a pool the next MaterializeSSA carves from.
-// Every field of r is dropped, so using r afterwards panics rather than
-// read recycled memory; nothing that points into r (its blocks,
-// instructions and edges, a core.Result over it) may be used either.
-// Release is a no-op for a routine MaterializeSSA did not build, such as
-// a parsed or cloned one.
+// Release declares r finished and hands the storage MaterializeSSA
+// carved it from, cleared, back to the Scratch it came from, for the
+// next MaterializeSSA. Every field of r is dropped, so using r afterwards
+// panics rather than read recycled memory; nothing that points into r
+// (its blocks, instructions and edges, a core.Result over it) may be used
+// either. Release is a no-op for a routine MaterializeSSA did not build,
+// such as a parsed or cloned one.
 func (r *Routine) Release() {
 	st := r.store
 	if st == nil {
 		return
 	}
 	*r = Routine{}
-	st.clear()
-	storePool.Put(st)
+	if st.home == nil {
+		return
+	}
+	st.blocks.Reset()
+	st.instrs.Reset()
+	st.ptrs.Reset()
+	st.edges.Reset()
+	st.edgePtrs.Reset()
+	st.cases.Reset()
+	st.blockPtr.Reset()
+	st.home.store = st
 }
 
 // MaterializeSSA returns the SSA form p describes for r as a new
@@ -196,10 +176,10 @@ func (r *Routine) Release() {
 // backing array with the result. Only surviving instructions are
 // allocated: VarRead and VarWrite are never copied. As in Clone, the new
 // objects and every backing array are carved from a few counted tables,
-// each carve a full slice (cap == len); the tables come from storage
-// that Release recycles. Use lists come out in block/instruction/argument
-// order.
-func (r *Routine) MaterializeSSA(p *SSAPlan) *Routine {
+// each carve a full slice (cap == len); the tables come from the storage
+// s lends the routine until its Release (nil allocates them). Use lists
+// come out in block/instruction/argument order.
+func (r *Routine) MaterializeSSA(p *SSAPlan, s *Scratch) *Routine {
 	nphi := len(p.PhiBlock)
 	nInstrs, nArgs, nSuccs, nPreds, nCases := nphi, len(p.PhiArgs), 0, 0, 0
 	if p.Undef {
@@ -219,26 +199,25 @@ func (r *Routine) MaterializeSSA(p *SSAPlan) *Routine {
 	// Every argument is one use, so Args and use lists take nArgs
 	// pointers each.
 	nPtrs := nInstrs + 2*nArgs + len(r.Params)
-	tab := getTables()
-	defer tab.release()
-	l, ints := r.layoutSSA(p, tab.int32s(r.nextBlockID+2+2*nphi+r.nextInstrID+nphi+1+nArgs))
+	home, s := s, s.orNew()
+	l, ints := r.layoutSSA(p, s.ints.Take(r.nextBlockID+2+2*nphi+r.nextInstrID+nphi+1+nArgs))
 	useCount := ints[:l.numIDs:l.numIDs] // uses per value id
 	argIDs := ints[l.numIDs:][:0:nArgs]  // argument value ids in result order
-	clear(useCount)
 
-	st, _ := storePool.Get().(*ssaStore)
+	st := s.store
 	if st == nil {
-		st = &ssaStore{}
+		st = &ssaStore{home: home}
 	}
+	s.store = nil
 	nr := &Routine{Name: r.Name, nextInstrID: l.numIDs, nextBlockID: r.nextBlockID, store: st}
-	blocks := take(&st.blocks, len(r.Blocks))
-	instrs := take(&st.instrs, nInstrs)
-	ptrs := take(&st.ptrs, nPtrs)
-	edges := take(&st.edges, nSuccs)[:0]
-	edgePtrs := take(&st.edgePtrs, nSuccs+nPreds)
-	cases := take(&st.cases, nCases)
-	newOf := tab.instrTable(l.numIDs)        // result instruction by id
-	blockOf := tab.blockTable(r.nextBlockID) // result block by id
+	blocks := st.blocks.Take(len(r.Blocks))
+	instrs := st.instrs.Take(nInstrs)
+	ptrs := st.ptrs.Take(nPtrs)
+	edges := st.edges.Take(nSuccs)[:0]
+	edgePtrs := st.edgePtrs.Take(nSuccs + nPreds)
+	cases := st.cases.Take(nCases)
+	newOf := s.instrs.Take(l.numIDs)        // result instruction by id
+	blockOf := s.blocks.Take(r.nextBlockID) // result block by id
 	carve := func(n int) []*Instr {
 		s := ptrs[:n:n]
 		ptrs = ptrs[n:]
@@ -268,7 +247,7 @@ func (r *Routine) MaterializeSSA(p *SSAPlan) *Routine {
 
 	// Pass 1: blocks and instructions in result order, recording every
 	// argument's value id and counting uses.
-	nr.Blocks = take(&st.blockPtr, len(r.Blocks))
+	nr.Blocks = st.blockPtr.Take(len(r.Blocks))
 	base := r.nextInstrID
 	for k, b := range r.Blocks {
 		nb := &blocks[k]
@@ -350,13 +329,12 @@ func (r *Routine) MaterializeSSA(p *SSAPlan) *Routine {
 // constant are carved from r's chunks, and the pseudo-instructions are
 // detached. Use lists are rebuilt in block/instruction/argument order,
 // so r ends up equal to MaterializeSSA's result in every observable
-// respect.
-func (r *Routine) ApplySSA(p *SSAPlan) {
-	tab := getTables()
-	defer tab.release()
-	l, _ := r.layoutSSA(p, tab.int32s(r.nextBlockID+2+2*len(p.PhiBlock)))
+// respect. Its id tables come from s (nil allocates them).
+func (r *Routine) ApplySSA(p *SSAPlan, s *Scratch) {
+	s = s.orNew()
+	l, _ := r.layoutSSA(p, s.ints.Take(r.nextBlockID+2+2*len(p.PhiBlock)))
 	base := r.nextInstrID
-	byID := tab.instrTable(l.numIDs) // value by id
+	byID := s.instrs.Take(l.numIDs) // value by id
 	for _, b := range r.Blocks {
 		for _, i := range b.Instrs {
 			byID[i.ID] = i

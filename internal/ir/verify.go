@@ -32,16 +32,18 @@ import (
 // Membership is an identity test on a table indexed by Instr.ID: a is a
 // member iff the table's owner at a.ID is a itself, so a foreign
 // instruction is rejected even when its id collides with a member's.
-func (r *Routine) Verify() error {
+func (r *Routine) Verify() error { return r.VerifyIn(nil) }
+
+// VerifyIn is Verify with its tables taken from s (nil allocates them).
+func (r *Routine) VerifyIn(s *Scratch) error {
 	if len(r.Blocks) == 0 {
 		return fmt.Errorf("%s: no blocks", r.Name)
 	}
 	if len(r.Entry().Preds) != 0 {
 		return fmt.Errorf("%s: entry block has predecessors", r.Name)
 	}
-	tab := getTables()
-	defer tab.release()
-	blockOwner := tab.blockTable(r.NumBlockIDs())
+	tab := s.orNew()
+	blockOwner := tab.blocks.Take(r.NumBlockIDs())
 	for _, b := range r.Blocks {
 		if b.ID < 0 || b.ID >= len(blockOwner) {
 			return fmt.Errorf("%s: block %s has id %d outside [0, %d)",
@@ -52,7 +54,7 @@ func (r *Routine) Verify() error {
 		}
 		blockOwner[b.ID] = b
 	}
-	ids := tab.slotTable(r.NumInstrIDs())
+	ids := tab.slots.Take(r.NumInstrIDs())
 	for _, b := range r.Blocks {
 		for _, i := range b.Instrs {
 			if i.ID < 0 || i.ID >= len(ids) {
@@ -111,7 +113,7 @@ func isMember(ids []idSlot, i *Instr) bool {
 	return i != nil && i.ID >= 0 && i.ID < len(ids) && ids[i.ID].owner == i
 }
 
-func (r *Routine) verifyBlock(b *Block, ids []idSlot, tab *idTables) error {
+func (r *Routine) verifyBlock(b *Block, ids []idSlot, tab *Scratch) error {
 	if b.Routine != r {
 		return fmt.Errorf("%s: block %s belongs to another routine", r.Name, b.Name)
 	}
@@ -193,10 +195,11 @@ func (r *Routine) verifyBlock(b *Block, ids []idSlot, tab *idTables) error {
 			want = len(b.Cases) + 1
 			// Sorted, a duplicate sits next to its twin; the smallest
 			// duplicated value is reported.
-			tab.cases = append(tab.cases[:0], b.Cases...)
-			slices.Sort(tab.cases)
-			for k := 1; k < len(tab.cases); k++ {
-				if c := tab.cases[k]; c == tab.cases[k-1] {
+			cases := tab.cases.Take(len(b.Cases))
+			copy(cases, b.Cases)
+			slices.Sort(cases)
+			for k := 1; k < len(cases); k++ {
+				if c := cases[k]; c == cases[k-1] {
 					return fmt.Errorf("%s: block %s: switch has duplicate case %d", r.Name, b.Name, c)
 				}
 			}

@@ -136,7 +136,7 @@ func ApplyWith(res *core.Result, o Options) (Stats, error) {
 		tr.Emit(obs.KindOptDeadCode, 0, -1, -1, int64(st.InstrsRemoved), "")
 		tr.Emit(obs.KindOptCFGSimplified, 0, -1, -1, int64(st.BlocksSimplified), "")
 	}
-	if err := r.Verify(); err != nil {
+	if err := r.VerifyIn(res.Workspace().IR()); err != nil {
 		return st, fmt.Errorf("opt: routine broken after optimization: %w", err)
 	}
 	return st, nil
@@ -286,8 +286,7 @@ func PropagateConstants(res *core.Result) int {
 // uses were redirected.
 func EliminateRedundancies(res *core.Result) int {
 	r := res.Routine
-	tree := dom.New(r)
-	defer tree.Release()
+	tree := dom.NewIn(res.Workspace().Dom(), r)
 	// pos is each instruction's index in its block, by instruction id.
 	pos := make([]int32, r.NumInstrIDs())
 	for _, b := range r.Blocks {

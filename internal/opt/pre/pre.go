@@ -97,19 +97,19 @@ func Run(res *core.Result, opts Options) (Stats, error) {
 	// The bookkeeping maps (extra, created, splitOrigin, consts) are
 	// allocated lazily at their first write: most routines have no
 	// transformable redundancy, and nil maps read as empty.
+	//
+	// The RPO, the partition snapshot and the dominator tree are
+	// construction-local to this call: for a RunIn Result they are built
+	// in its workspace, which keeps batch runs (one PRE pass per
+	// routine) off the allocator.
+	ws := res.Workspace()
 	p := &pass{
 		res:   res,
 		r:     res.Routine,
 		part:  res.Partition(),
-		order: cfg.ReversePostOrder(res.Routine),
+		order: cfg.ReversePostOrderIn(ws.Order(), res.Routine),
 		tr:    opts.Tracer,
 	}
-	// The RPO, the partition snapshot and the dominator tree are
-	// construction-local to this call; returning them to their package
-	// pools keeps batch runs (one PRE pass per routine) off the
-	// allocator.
-	defer p.order.Release()
-	defer p.part.Release()
 	if p.part.NumClasses() == 0 {
 		return p.stats, nil
 	}
@@ -118,8 +118,7 @@ func Run(res *core.Result, opts Options) (Stats, error) {
 	if len(merges) == 0 {
 		return p.stats, nil
 	}
-	p.tree = dom.New(p.r)
-	defer p.tree.Release()
+	p.tree = dom.NewIn(ws.Dom(), p.r)
 	p.nblk = p.r.NumBlockIDs()
 	p.dataflow()
 	for i, b := range merges {

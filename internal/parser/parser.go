@@ -46,6 +46,8 @@ type parser struct {
 	r     *ir.Routine
 	cur   *ir.Block
 	edges []pendingEdge // terminator targets, resolved after all blocks
+	// verify holds Verify's tables for every routine of the input.
+	verify ir.Scratch
 }
 
 type pendingEdge struct {
@@ -177,7 +179,7 @@ func (p *parser) parseFunc() (*ir.Routine, error) {
 		}
 		p.r.AddEdge(pe.from, to)
 	}
-	if err := p.r.Verify(); err != nil {
+	if err := p.r.VerifyIn(&p.verify); err != nil {
 		return nil, fmt.Errorf("parser: %w", err)
 	}
 	return p.r, nil

@@ -1,8 +1,35 @@
-// Package slab records the chunks a bump allocator carves from, so that
-// the owner of everything carved can hand the chunks back for reuse once
-// it is finished with them (DESIGN §17: a chunk returns to a pool only
-// whole, only cleared, and only after its owner called Release).
+// Package slab holds the two kinds of reusable memory a workspace keeps
+// between routines (DESIGN §17): a Table is one id-indexed side table
+// that hands out zeroed prefixes of its capacity, and Chunks records the
+// chunks a bump allocator carves from, so that the owner of everything
+// carved can hand them back, cleared, once it is finished with them.
+// Both clear only what they handed out: past that they are zero.
 package slab
+
+// Table is a reusable buffer of T. Its length is the high-water mark
+// handed out since the last Reset and its capacity the largest ever
+// needed; past the length it is zero. The zero Table is empty and ready.
+type Table[T any] struct{ s []T }
+
+// Take returns a zeroed slice of n elements (cap n) from the table's
+// storage, growing it when its capacity is short. A slice taken earlier
+// is invalid afterwards: the two share storage.
+func (t *Table[T]) Take(n int) []T {
+	if cap(t.s) < n {
+		t.s = make([]T, n)
+	} else {
+		clear(t.s[:min(n, len(t.s))])
+		t.s = t.s[:max(n, len(t.s))]
+	}
+	return t.s[:n:n]
+}
+
+// Reset zeroes what the table handed out since the last Reset, which
+// leaves it zero whole, and keeps its capacity.
+func (t *Table[T]) Reset() {
+	clear(t.s)
+	t.s = t.s[:0]
+}
 
 // Chunks is one bump allocator's chunk set: the chunks its current owner
 // carved, in carve order, followed by spare chunks an earlier owner left,
@@ -44,6 +71,3 @@ func (c *Chunks[T]) Clear() {
 	}
 	c.used = 0
 }
-
-// Len returns the number of chunks in the set, carved and spare.
-func (c *Chunks[T]) Len() int { return len(c.list) }

@@ -21,7 +21,6 @@ package ssa
 import (
 	"fmt"
 	"strconv"
-	"sync"
 
 	"pgvn/internal/dom"
 	"pgvn/internal/ir"
@@ -41,20 +40,59 @@ const (
 	Pruned
 )
 
+// Scratch is ssa's reusable memory: ir's tables (Verify's, the
+// materializers' and the storage a built routine is carved from), dom's
+// trees and the builder that plans a construction. The zero Scratch is
+// ready to use; a nil *Scratch makes each call allocate its own. Reset
+// zeroes what the last routine was handed and keeps the capacity, so an
+// idle Scratch pins nothing of a finished routine (DESIGN §17).
+type Scratch struct {
+	IR  ir.Scratch
+	Dom dom.Scratch
+	b   builder
+}
+
+// Reset zeroes everything the last routine was handed. A routine built
+// in s is not affected: its storage is cleared by its own Release.
+func (s *Scratch) Reset() {
+	s.IR.Reset()
+	s.Dom.Reset()
+	s.b.reset()
+}
+
 // Build converts r to SSA form in place: VarRead/VarWrite
 // pseudo-instructions are replaced by direct SSA value references and
 // φ-instructions. Reads of never-written variables resolve to a constant 0
 // materialized in the entry block. Build returns an error if the routine
 // is structurally invalid. Blocks, edges and surviving instructions keep
-// their identity; BuildFrom is the copying form.
+// their identity; BuildFrom is the copying form. Its tables come from a
+// Scratch that Borrow lends for the call, when set.
 func Build(r *ir.Routine, placement Placement) error {
-	s, err := plan(r, placement)
-	if err != nil || s == nil {
+	if Borrow == nil {
+		return BuildIn(nil, r, placement)
+	}
+	s, done := Borrow()
+	defer done()
+	return BuildIn(s, r, placement)
+}
+
+// Borrow, when set, lends Build a Scratch and returns the func that
+// takes it back. Package core sets it at start-up to borrow from its
+// workspace pool, so a library caller's SSA construction recycles its
+// tables through the one pool the driver's workers use.
+var Borrow func() (*Scratch, func())
+
+// BuildIn is Build with its tables taken from s (nil allocates them).
+func BuildIn(s *Scratch, r *ir.Routine, placement Placement) error {
+	if s == nil {
+		s = new(Scratch)
+	}
+	b, err := s.plan(r, placement)
+	if err != nil || b == nil {
 		return err
 	}
-	r.ApplySSA(&s.plan)
-	s.release()
-	if err := r.Verify(); err != nil {
+	r.ApplySSA(&b.plan, &s.IR)
+	if err := r.VerifyIn(&s.IR); err != nil {
 		return fmt.Errorf("ssa: post-build verify: %w", err)
 	}
 	return nil
@@ -67,16 +105,25 @@ func Build(r *ir.Routine, placement Placement) error {
 // src — ids, names, block and instruction order, NumInstrIDs and use
 // lists.
 func BuildFrom(src *ir.Routine, placement Placement) (*ir.Routine, error) {
-	s, err := plan(src, placement)
+	return BuildFromIn(nil, src, placement)
+}
+
+// BuildFromIn is BuildFrom with its tables taken from s (nil allocates
+// them). The result is carved from storage s lends it until its Release
+// (ir.Routine.Release).
+func BuildFromIn(s *Scratch, src *ir.Routine, placement Placement) (*ir.Routine, error) {
+	if s == nil {
+		s = new(Scratch)
+	}
+	b, err := s.plan(src, placement)
 	if err != nil {
 		return nil, err
 	}
-	if s == nil {
+	if b == nil {
 		return src.Clone(), nil
 	}
-	r := src.MaterializeSSA(&s.plan)
-	s.release()
-	if err := r.Verify(); err != nil {
+	r := src.MaterializeSSA(&b.plan, &s.IR)
+	if err := r.VerifyIn(&s.IR); err != nil {
 		return nil, fmt.Errorf("ssa: post-build verify: %w", err)
 	}
 	return r, nil
@@ -87,12 +134,12 @@ func BuildFrom(src *ir.Routine, placement Placement) (*ir.Routine, error) {
 const renamed = -2
 
 // builder is the working state of one SSA construction, the plan it
-// hands to the materializer included. Builders are pooled under DESIGN
-// §17's rule: release clears every table holding a string or a block
-// pointer (the variable map, names and the plan's PhiBlock, PhiName and
-// Renames), so an idle builder pins nothing of the last routine, and
-// the stamp and bit tables whose zero value matters are cleared on
-// acquire. Every other table is written before it is read.
+// hands to the materializer included. A plan starts with reset, which
+// clears every table holding a string or a block pointer (the variable
+// map, names and the plan's PhiBlock, PhiName and Renames) over what the
+// last plan was handed; the stamp and bit tables whose zero value
+// matters are cleared where they are sized. Every other table is written
+// before it is read.
 type builder struct {
 	r    *ir.Routine
 	tree *dom.Tree
@@ -134,20 +181,10 @@ type builder struct {
 	nameEnds []int32
 }
 
-var builderPool sync.Pool
-
-func getBuilder(r *ir.Routine) *builder {
-	s, _ := builderPool.Get().(*builder)
-	if s == nil {
-		s = &builder{vars: map[string]int32{}}
-	}
-	s.r, s.cyclic = r, false
-	return s
-}
-
-// release returns s to the pool; the plan is unusable afterwards.
-func (s *builder) release() {
-	s.r = nil
+// reset drops everything the last plan was handed: the routine, its
+// tree, the variable map and names, and the plan.
+func (s *builder) reset() {
+	s.r, s.tree, s.cyclic = nil, nil, false
 	clear(s.vars)
 	clear(s.names)
 	p := &s.plan
@@ -157,7 +194,6 @@ func (s *builder) release() {
 	s.names = s.names[:0]
 	s.plan = ir.SSAPlan{PhiBlock: p.PhiBlock[:0], PhiName: p.PhiName[:0],
 		PhiArgs: p.PhiArgs[:0], Read: p.Read[:0], Renames: p.Renames[:0]}
-	builderPool.Put(s)
 }
 
 // resize returns t with length n, reusing its backing array when it is
@@ -181,24 +217,24 @@ func fill[T any](t []T, n int, v T) []T {
 // plan computes the SSA construction of r without modifying it: the
 // dominator tree, liveness, φ placement on iterated dominance frontiers
 // and the renaming walk run read-only and record their outcome in the
-// returned builder's plan, which stays valid until its release. It
+// builder's plan, which stays valid until the next plan or Reset. It
 // returns nil when r has no variables (already SSA).
-func plan(r *ir.Routine, placement Placement) (*builder, error) {
-	if err := r.Verify(); err != nil {
+func (sc *Scratch) plan(r *ir.Routine, placement Placement) (*builder, error) {
+	if err := r.VerifyIn(&sc.IR); err != nil {
 		return nil, fmt.Errorf("ssa: pre-build verify: %w", err)
 	}
-	s := getBuilder(r)
+	s := &sc.b
+	s.reset()
+	s.r = r
 	s.collect()
 	if len(s.names) == 0 {
-		s.release()
 		return nil, nil // already SSA (or no variables at all)
 	}
-	s.tree = dom.New(r)
+	s.tree = dom.NewIn(&sc.Dom, r)
 	s.live.compute(r, s.varOf, len(s.names))
 	s.place(placement)
 	s.rename()
 	if err := s.resolveAll(); err != nil {
-		s.release()
 		return nil, err
 	}
 	return s, nil
@@ -210,6 +246,9 @@ func plan(r *ir.Routine, placement Placement) (*builder, error) {
 // entry block.
 func (s *builder) collect() {
 	s.base = s.r.NumInstrIDs()
+	if s.vars == nil {
+		s.vars = map[string]int32{}
+	}
 	s.varOf = resize(s.varOf, s.base)
 	s.defBlocks, s.lastDef = s.defBlocks[:0], s.lastDef[:0]
 	for k, b := range s.r.Blocks {
@@ -226,7 +265,7 @@ func (s *builder) collect() {
 				s.vars[i.Name] = v
 				s.names = append(s.names, i.Name)
 				s.lastDef = append(s.lastDef, 0)
-				// Reuse the pooled per-variable list past the end.
+				// Reuse the per-variable list kept past the end.
 				if n := len(s.defBlocks); n < cap(s.defBlocks) {
 					s.defBlocks = s.defBlocks[:n+1]
 					s.defBlocks[n] = s.defBlocks[n][:0]
@@ -314,7 +353,7 @@ func (s *builder) place(placement Placement) {
 
 // rename runs the renaming walk over the dominator tree. Definitions are
 // value ids; a VarRead's definition is recorded in the plan's Read as it
-// is reached. The dominator tree is released afterwards.
+// is reached. The dominator tree is dropped afterwards.
 func (s *builder) rename() {
 	s.undefID = int32(s.base + len(s.plan.PhiBlock))
 	s.top = fill(s.top, len(s.names), -1)
@@ -333,7 +372,6 @@ func (s *builder) rename() {
 			}
 		}
 	}
-	s.tree.Release()
 	s.tree = nil
 }
 

@@ -21,7 +21,6 @@ func Verify(r *ir.Routine) error {
 		return err
 	}
 	tree := dom.New(r)
-	defer tree.Release()
 	// pos is each instruction's index in its block, by instruction id
 	// (r.Verify just proved the ids unique and in range).
 	pos := make([]int32, r.NumInstrIDs())

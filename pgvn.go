@@ -275,11 +275,15 @@ func AnalyzeSource(src string, o Options) ([]Report, error) {
 	return reports, nil
 }
 
+// optimizeRoutine runs the pipeline on r in place, in one workspace
+// borrowed for the call, as a driver worker would.
 func optimizeRoutine(r *ir.Routine, cfg core.Config, placement ssa.Placement, pre bool) (Report, error) {
-	if err := ssa.Build(r, placement); err != nil {
+	ws := core.GetWorkspace()
+	defer core.PutWorkspace(ws)
+	if err := ssa.BuildIn(ws.SSA(), r, placement); err != nil {
 		return Report{}, err
 	}
-	res, err := core.Run(r, cfg)
+	res, err := core.RunIn(ws, r, cfg)
 	if err != nil {
 		return Report{}, err
 	}
@@ -290,6 +294,7 @@ func optimizeRoutine(r *ir.Routine, cfg core.Config, placement ssa.Placement, pr
 	if err != nil {
 		return Report{}, err
 	}
+	res.Release()
 	return reportOf(snap, st), nil
 }
 
